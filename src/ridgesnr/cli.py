@@ -11,6 +11,7 @@ Run flags left unset fall back first to the optional ``--config`` JSON file
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -175,34 +176,12 @@ def _print_estimate(estimate, as_json: bool) -> None:
     print(f"fixed-point iters = {list(estimate.fixed_point_iters)}")
 
 
-def _print_rows(rows) -> None:
-    print(",".join(harness._METRICS_COLUMNS))
-    for row in rows:
-        print(",".join((
-            dataio.format_float(row.snr_true_db), row.method, str(row.m), str(row.k),
-            str(row.trials), str(row.trials_degenerate), str(row.trials_failed),
-            dataio.format_float(row.mean_est_db), dataio.format_float(row.bias_db),
-            dataio.format_float(row.nmse_db), dataio.format_float(row.norm_err_mean),
-            dataio.format_float(row.norm_err_var), row.grid_label,
-        )))
-
-
 def _dump_first_trial(config: harness.RunConfig, directory: str) -> None:
     """Materialize trial 0 of the first sweep point and write its model files."""
     from .estimator import estimate_snr
-    from .scenarios import sample_truth, synthesize
 
-    definition = config.resolve_scenario()
-    m, k = definition.dims
-    grid = config.lambda_grid or definition.lambda_grid
-    spectrum = harness._correlation_for(definition, m, config.master_seed)
-    points = config.snr_points_db or definition.snr_points_db
-    signal, noise = definition.specs_at(points[0])
-    rng = harness.derive_rng(config.master_seed, harness.STREAM_TRIALS, 0, 0)
-    truth = sample_truth(signal, noise, m, k, rng)
-    model = synthesize(spectrum, truth, rng)
-    estimate = estimate_snr(model, grid)
-    paths = dataio.dump_model(directory, model, grid, estimate)
+    model, grid = harness._first_trial(config)
+    paths = dataio.dump_model(directory, model, grid, estimate_snr(model, grid))
     print(f"dumped model files: {json.dumps(paths)}")
 
 
@@ -218,7 +197,7 @@ def _cmd_scenario(args) -> int:
     if args.dump:
         _dump_first_trial(config, args.dump)
     rows = harness.run_scenario(config)
-    _print_rows(rows)
+    print("\n".join(harness._metrics_table(rows)))
     return EXIT_OK
 
 
@@ -236,22 +215,16 @@ def _cmd_dim_sweep(args) -> int:
     config = _resolve_run_config(args, "h")
     if config.dims is None:
         dims = scenario_catalog("g").dims_list + scenario_catalog("h").dims_list
-        config = harness.RunConfig(
-            scenario=config.scenario, trials=config.trials,
-            master_seed=config.master_seed, lambda_grid=config.lambda_grid,
-            snr_points_db=config.snr_points_db, output_path=config.output_path,
-            parallelism=config.parallelism, dump_trials=config.dump_trials,
-            dims=dims,
-        )
+        config = dataclasses.replace(config, dims=dims)
     rows = harness.dim_sweep(config)
-    _print_rows(rows)
+    print("\n".join(harness._metrics_table(rows)))
     return EXIT_OK
 
 
 def _cmd_lambda_sensitivity(args) -> int:
     config = _resolve_run_config(args, "i")
     rows = harness.lambda_sensitivity(config)
-    _print_rows(rows)
+    print("\n".join(harness._metrics_table(rows)))
     return EXIT_OK
 
 

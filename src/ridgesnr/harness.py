@@ -3,11 +3,17 @@ penalty-grid robustness runs, metrics aggregation, and CSV output.
 
 Reproducibility contract: every random draw comes from a generator derived as
 SeedSequence(entropy=master_seed, spawn_key=stream_key). Stream keys are
-(kind, indices...) tuples with kind 0 = scenario trials, 2 = fixed design,
-3 = verification draws, 4 = penalty-sensitivity trials, 5 = dimension-sweep
-trials; the diag-uniform correlation draw uses the bare master seed. Results
-are therefore identical for any trial schedule, and the CSV emitted by a run
-is byte-identical across parallelism settings.
+(kind, indices...) tuples:
+
+  (0, point, trial)        scenario trials
+  (2,)                     the fixed design of a verification run
+  (3, draw)                verification signal/noise draws
+  (4, grid, point, trial)  penalty-sensitivity trials
+  (5, dim, point, trial)   dimension-sweep trials
+
+and the diag-uniform correlation draw uses the bare master seed. Results are
+therefore identical for any trial schedule, and the CSV emitted by a run is
+byte-identical across parallelism settings.
 """
 
 from __future__ import annotations
@@ -22,11 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .estimator import LinearModel, ml_baseline, estimate_snr, ridge_solve
+from .estimator import LinearModel, _snr_fields, ml_baseline, estimate_snr, ridge_solve
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients
 from .scenarios import (
-    CorrelationSpec,
     ScenarioDefinition,
     build_correlation,
     sample_truth,
@@ -143,15 +148,6 @@ def _grid_label(grid) -> str:
     return ";".join(dataio.format_float(v) for v in grid)
 
 
-def _snr_of(sigma_x2: float, sigma_n2: float) -> tuple[float, float]:
-    if sigma_n2 > 0:
-        snr = sigma_x2 / sigma_n2
-        return snr, (10.0 * math.log10(snr) if snr > 0 else -math.inf)
-    if sigma_x2 > 0:
-        return math.inf, math.inf
-    return math.nan, math.nan
-
-
 def _aggregate(snr_true_db: float, method: str, m: int, k: int,
                sigmas: np.ndarray, grid_label: str = "") -> MetricsRow:
     """Fold per-trial (sigma_x2, sigma_n2) pairs into one metrics row."""
@@ -163,7 +159,7 @@ def _aggregate(snr_true_db: float, method: str, m: int, k: int,
     for sx, sn in sigmas:
         if not (np.isfinite(sx) and np.isfinite(sn)):
             continue
-        snr, snr_db = _snr_of(sx, sn)
+        snr, snr_db = _snr_fields(sx, sn)
         if not (0.0 < snr < math.inf):
             degenerate += 1
             continue
@@ -188,23 +184,37 @@ def _aggregate(snr_true_db: float, method: str, m: int, k: int,
     )
 
 
+def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key):
+    """One trial's (truth, model): (x0, n), then Wbar, from the stream for key."""
+    rng = derive_rng(master_seed, *key)
+    truth = sample_truth(signal, noise, m, k, rng)
+    return truth, synthesize(spectrum, truth, rng)
+
+
 def _run_trial_block(spectrum: CorrelationSpectrum, definition: ScenarioDefinition,
                      m: int, k: int, grid, snr_db: float, master_seed: int,
                      key_prefix: tuple[int, ...], trial_lo: int, trial_hi: int) -> np.ndarray:
-    """Run trials [trial_lo, trial_hi); returns (n, 4) of proposed/ml sigma pairs."""
+    """Run trials [trial_lo, trial_hi); returns (n, 4) of proposed/ml sigma pairs.
+
+    A failed draw leaves both pairs nan; a method that fails leaves only its own.
+    """
     signal, noise = definition.specs_at(snr_db)
     out = np.full((trial_hi - trial_lo, 4), math.nan)
     for offset, trial in enumerate(range(trial_lo, trial_hi)):
-        rng = derive_rng(master_seed, *key_prefix, trial)
         try:
-            truth = sample_truth(signal, noise, m, k, rng)
-            model = synthesize(spectrum, truth, rng)
-            proposed = estimate_snr(model, grid)
-            baseline = ml_baseline(model, truth.sigma_x2)
-            out[offset] = (proposed.sigma_x2_hat, proposed.sigma_n2_hat,
-                           baseline.sigma_x2_hat, baseline.sigma_n2_hat)
+            truth, model = _draw_trial(spectrum, signal, noise, m, k, master_seed,
+                                       (*key_prefix, trial))
         except RidgeSnrError as exc:
             log.warning("trial %d at %.1f dB failed: %s", trial, snr_db, exc)
+            continue
+        for col, method, arg in ((0, estimate_snr, grid), (2, ml_baseline, truth.sigma_x2)):
+            try:
+                result = method(model, arg)
+            except RidgeSnrError as exc:
+                log.warning("trial %d at %.1f dB failed in %s: %s",
+                            trial, snr_db, method.__name__, exc)
+                continue
+            out[offset, col:col + 2] = (result.sigma_x2_hat, result.sigma_n2_hat)
     return out
 
 
@@ -254,13 +264,42 @@ def _trial_records(rows_sigma, snr_db, m, k, grid_label="") -> list[TrialRecord]
     records = []
     for trial, (sx_p, sn_p, sx_m, sn_m) in enumerate(rows_sigma):
         for method, sx, sn in (("proposed", sx_p, sn_p), ("ml", sx_m, sn_m)):
-            snr, snr_db_est = _snr_of(sx, sn) if np.isfinite(sx) and np.isfinite(sn) else (math.nan, math.nan)
+            snr, snr_db_est = _snr_fields(sx, sn) if np.isfinite(sx) and np.isfinite(sn) else (math.nan, math.nan)
             records.append(TrialRecord(
                 snr_true_db=snr_db, method=method, m=m, k=k, trial=trial,
                 sigma_x2_hat=sx, sigma_n2_hat=sn, snr_linear=snr, snr_db=snr_db_est,
                 degenerate=not (0.0 < snr < math.inf), grid_label=grid_label,
             ))
     return records
+
+
+def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[MetricsRow]:
+    """Run every SNR point of each block, aggregate both methods, write outputs.
+
+    A block is (m, k, grid, grid_label, key_prefix); trial t at point p draws
+    from stream key_prefix + (p, t). The correlation is built once per m.
+    """
+    points = config.snr_points_db or definition.snr_points_db
+    spectra: dict[int, CorrelationSpectrum] = {}
+    rows: list[MetricsRow] = []
+    records: list[TrialRecord] = []
+    pool = _pool(config)
+    try:
+        for m, k, grid, label, key_prefix in blocks:
+            if m not in spectra:
+                spectra[m] = _correlation_for(definition, m, config.master_seed)
+            for point_idx, snr_db in enumerate(points):
+                sigmas = _run_point(pool, config, spectra[m], definition, m, k, grid,
+                                    snr_db, (*key_prefix, point_idx))
+                rows.append(_aggregate(snr_db, "proposed", m, k, sigmas[:, :2], label))
+                rows.append(_aggregate(snr_db, "ml", m, k, sigmas[:, 2:], label))
+                if config.dump_trials:
+                    records.extend(_trial_records(sigmas, snr_db, m, k, label))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    _write_outputs(config, rows, records)
+    return rows
 
 
 def run_scenario(config: RunConfig) -> list[MetricsRow]:
@@ -272,24 +311,19 @@ def run_scenario(config: RunConfig) -> list[MetricsRow]:
     definition = config.resolve_scenario()
     m, k = definition.dims
     grid = config.lambda_grid or definition.lambda_grid
+    return _sweep(config, definition, [(m, k, grid, "", (STREAM_TRIALS,))])
+
+
+def _first_trial(config: RunConfig) -> tuple[LinearModel, tuple[float, ...]]:
+    """The model of trial 0 at the first point of run_scenario(config), and its grid."""
+    definition = config.resolve_scenario()
+    m, k = definition.dims
     points = config.snr_points_db or definition.snr_points_db
+    signal, noise = definition.specs_at(points[0])
     spectrum = _correlation_for(definition, m, config.master_seed)
-    rows: list[MetricsRow] = []
-    records: list[TrialRecord] = []
-    pool = _pool(config)
-    try:
-        for point_idx, snr_db in enumerate(points):
-            sigmas = _run_point(pool, config, spectrum, definition, m, k, grid,
-                                snr_db, (STREAM_TRIALS, point_idx))
-            rows.append(_aggregate(snr_db, "proposed", m, k, sigmas[:, :2]))
-            rows.append(_aggregate(snr_db, "ml", m, k, sigmas[:, 2:]))
-            if config.dump_trials:
-                records.extend(_trial_records(sigmas, snr_db, m, k))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    _write_outputs(config, rows, records)
-    return rows
+    _, model = _draw_trial(spectrum, signal, noise, m, k, config.master_seed,
+                           (STREAM_TRIALS, 0, 0))
+    return model, config.lambda_grid or definition.lambda_grid
 
 
 def dim_sweep(config: RunConfig) -> list[MetricsRow]:
@@ -297,25 +331,8 @@ def dim_sweep(config: RunConfig) -> list[MetricsRow]:
     definition = config.resolve_scenario()
     dims = config.dims or definition.dims_list or (definition.dims,)
     grid = config.lambda_grid or definition.lambda_grid
-    points = config.snr_points_db or definition.snr_points_db
-    rows: list[MetricsRow] = []
-    records: list[TrialRecord] = []
-    pool = _pool(config)
-    try:
-        for dim_idx, (m, k) in enumerate(dims):
-            spectrum = _correlation_for(definition, m, config.master_seed)
-            for point_idx, snr_db in enumerate(points):
-                sigmas = _run_point(pool, config, spectrum, definition, m, k, grid,
-                                    snr_db, (STREAM_DIM_SWEEP, dim_idx, point_idx))
-                rows.append(_aggregate(snr_db, "proposed", m, k, sigmas[:, :2]))
-                rows.append(_aggregate(snr_db, "ml", m, k, sigmas[:, 2:]))
-                if config.dump_trials:
-                    records.extend(_trial_records(sigmas, snr_db, m, k))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    _write_outputs(config, rows, records)
-    return rows
+    return _sweep(config, definition, [(m, k, grid, "", (STREAM_DIM_SWEEP, i))
+                                       for i, (m, k) in enumerate(dims)])
 
 
 def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
@@ -324,27 +341,8 @@ def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
     if not definition.lambda_grids:
         definition = scenario_catalog("i", seed=config.master_seed)
     m, k = definition.dims
-    grids = definition.lambda_grids
-    points = config.snr_points_db or definition.snr_points_db
-    spectrum = _correlation_for(definition, m, config.master_seed)
-    rows: list[MetricsRow] = []
-    records: list[TrialRecord] = []
-    pool = _pool(config)
-    try:
-        for grid_idx, grid in enumerate(grids):
-            label = _grid_label(grid)
-            for point_idx, snr_db in enumerate(points):
-                sigmas = _run_point(pool, config, spectrum, definition, m, k, grid,
-                                    snr_db, (STREAM_SENSITIVITY, grid_idx, point_idx))
-                rows.append(_aggregate(snr_db, "proposed", m, k, sigmas[:, :2], label))
-                rows.append(_aggregate(snr_db, "ml", m, k, sigmas[:, 2:], label))
-                if config.dump_trials:
-                    records.extend(_trial_records(sigmas, snr_db, m, k, label))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    _write_outputs(config, rows, records)
-    return rows
+    return _sweep(config, definition, [(m, k, grid, _grid_label(grid), (STREAM_SENSITIVITY, i))
+                                       for i, grid in enumerate(definition.lambda_grids)])
 
 
 def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]:
@@ -422,9 +420,9 @@ def _config_header(config: RunConfig) -> list[str]:
     ]
 
 
-def write_metrics_csv(path: str | Path, config: RunConfig, rows: list[MetricsRow]) -> None:
-    lines = _config_header(config)
-    lines.append(",".join(_METRICS_COLUMNS))
+def _metrics_table(rows: list[MetricsRow]) -> list[str]:
+    """Column header and one CSV line per metrics row."""
+    lines = [",".join(_METRICS_COLUMNS)]
     for row in rows:
         lines.append(",".join((
             dataio.format_float(row.snr_true_db), row.method, str(row.m), str(row.k),
@@ -433,6 +431,11 @@ def write_metrics_csv(path: str | Path, config: RunConfig, rows: list[MetricsRow
             dataio.format_float(row.nmse_db), dataio.format_float(row.norm_err_mean),
             dataio.format_float(row.norm_err_var), row.grid_label,
         )))
+    return lines
+
+
+def write_metrics_csv(path: str | Path, config: RunConfig, rows: list[MetricsRow]) -> None:
+    lines = _config_header(config) + _metrics_table(rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import LinearModel
+from .estimator import LinearModel, _snr_fields
 from .exceptions import DimensionError
 from .numerics import bessel_j0
 from .rmt import CorrelationSpectrum
@@ -123,16 +123,11 @@ class GroundTruth:
 
     @property
     def snr_linear(self) -> float:
-        if self.sigma_n2 > 0:
-            return self.sigma_x2 / self.sigma_n2
-        return math.inf if self.sigma_x2 > 0 else math.nan
+        return _snr_fields(self.sigma_x2, self.sigma_n2)[0]
 
     @property
     def snr_db(self) -> float:
-        snr = self.snr_linear
-        if snr == 0:
-            return -math.inf
-        return 10.0 * math.log10(snr) if not math.isnan(snr) else math.nan
+        return _snr_fields(self.sigma_x2, self.sigma_n2)[1]
 
 
 def build_correlation(spec: CorrelationSpec) -> CorrelationSpectrum:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from ridgesnr import (
     run_scenario,
     verify_theorem,
 )
+from ridgesnr.exceptions import RidgeSnrError
 from ridgesnr.harness import _aggregate, derive_rng
 
 
@@ -127,6 +129,23 @@ class TestFailedTrials:
         assert all(r.trials_failed == 3 for r in rows)
         assert any("failed" in record.message for record in caplog.records)
 
+    @pytest.mark.parametrize("broken, method, intact", [
+        ("ml_baseline", "ml", "proposed"),
+        ("estimate_snr", "proposed", "ml"),
+    ])
+    def test_one_method_failing_leaves_the_other_intact(self, monkeypatch, broken,
+                                                        method, intact):
+        def fail(*args):
+            raise RidgeSnrError(f"{broken} unavailable")
+
+        monkeypatch.setattr(f"ridgesnr.harness.{broken}", fail)
+        config = RunConfig(scenario="a", trials=5, master_seed=8,
+                           snr_points_db=(10.0,), parallelism=1)
+        rows = {r.method: r for r in run_scenario(config)}
+        assert rows[intact].trials_failed == 0
+        assert math.isfinite(rows[intact].mean_est_db)
+        assert rows[method].trials_failed == rows[method].trials
+
 
 class TestVerifyTheorem:
     def test_zero_variances_give_zero_columns(self):
@@ -206,3 +225,41 @@ class TestLambdaSensitivity:
         labels = {r.grid_label for r in rows}
         assert len(labels) == 3
         assert all(r.grid_label for r in rows)
+
+
+# sha256 of the metrics and per-trial CSVs at trials=4, seed=3, one SNR point.
+# Changes to the sweep machinery must leave every byte of output unchanged;
+# a deliberate change to the numbers or the format updates these pins.
+_PINNED_SWEEPS = {
+    "a": (run_scenario,
+          "1b5fefa9e919a87bbba71194281d2d2c8c33e2f5869c40535effcba2df5a1330",
+          "e8ad930594cbe80f2e2403fff36a20a2adc2dea6accb1330c895a28d9257ba2c"),
+    "h": (dim_sweep,
+          "3e859fc43d337c1cde08e10af4c9fc36db530d7cad98d41236b5ea4657dce3e4",
+          "fa80271bc7e4fda5100a490eba663370dca7ac37eb93077b3f65e3fd84613b8d"),
+    "i": (lambda_sensitivity,
+          "1b41ae28772c89e60be0a520fc71cf67d859639d1b9a8c62714287bbfd172861",
+          "94c8c4491541bd25e1fbe875ed2d0760fa66e6b81cceef05dca41284f12a2f0e"),
+}
+_PINNED_THEOREM = "4f216a23755c2d569fc3606ceccf7f117dd3327ca87670651d52b3f2c24a2ecf"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("scenario", sorted(_PINNED_SWEEPS))
+    def test_sweep_csvs_are_byte_identical(self, tmp_path, scenario):
+        runner, metrics_sha, trials_sha = _PINNED_SWEEPS[scenario]
+        out = tmp_path / "run.csv"
+        runner(RunConfig(scenario=scenario, trials=4, master_seed=3,
+                         snr_points_db=(10.0,), output_path=str(out), dump_trials=True))
+        assert _sha256(out) == metrics_sha
+        assert _sha256(tmp_path / "run_trials.csv") == trials_sha
+
+    def test_theorem_csv_is_byte_identical(self, tmp_path):
+        out = tmp_path / "theorem.csv"
+        verify_theorem(RunConfig(scenario="fig1", trials=4, master_seed=3,
+                                 output_path=str(out)))
+        assert _sha256(out) == _PINNED_THEOREM
