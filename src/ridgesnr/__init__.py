@@ -6,6 +6,7 @@ recover the signal and noise variances from a single received vector.
 """
 
 from .estimator import (
+    EstimatorPlan,
     LinearModel,
     RidgeSolution,
     RegressionSystem,
@@ -56,7 +57,7 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearModel", "RidgeSolution", "RegressionSystem", "SnrEstimate",
+    "EstimatorPlan", "LinearModel", "RidgeSolution", "RegressionSystem", "SnrEstimate",
     "assemble_system", "estimate_snr", "ml_baseline", "ridge_solve", "solve_system",
     "ConvergenceError", "DataFormatError", "DefinitenessError",
     "DimensionError", "RidgeSnrError",

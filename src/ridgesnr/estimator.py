@@ -26,6 +26,7 @@ __all__ = [
     "RidgeSolution",
     "RegressionSystem",
     "SnrEstimate",
+    "EstimatorPlan",
     "ridge_solve",
     "assemble_system",
     "solve_system",
@@ -40,6 +41,14 @@ MAX_ASPECT = 100.0
 # Stand-in for lambda = 0 in the least-squares baseline, small enough that the
 # ridge solution is the (minimum-norm) LS solution to working precision.
 LS_EPSILON = 1e-10
+
+
+def _check_dims(spectrum: CorrelationSpectrum, m: int, k: int) -> None:
+    if spectrum.dim != m:
+        raise DimensionError(f"correlation dim {spectrum.dim} != design rows {m}")
+    aspect = k / m
+    if not (MIN_ASPECT <= aspect <= MAX_ASPECT):
+        raise DimensionError(f"aspect ratio K/M = {aspect:.4g} outside [{MIN_ASPECT}, {MAX_ASPECT}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +79,7 @@ class LinearModel:
             raise DimensionError(f"raw design shape {wbar.shape} != design shape {w.shape}")
         if y.shape != (m,):
             raise DimensionError(f"observation length {y.shape} != design rows {m}")
-        if self.spectrum.dim != m:
-            raise DimensionError(f"correlation dim {self.spectrum.dim} != design rows {m}")
-        aspect = k / m
-        if not (MIN_ASPECT <= aspect <= MAX_ASPECT):
-            raise DimensionError(f"aspect ratio K/M = {aspect:.4g} outside [{MIN_ASPECT}, {MAX_ASPECT}]")
+        _check_dims(self.spectrum, m, k)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y))):
             raise DimensionError("model contains non-finite entries")
 
@@ -164,7 +169,7 @@ def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
 
 
 def _validated_grid(lambdas) -> np.ndarray:
-    grid = np.asarray(lambdas, dtype=float)
+    grid = np.array(lambdas, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise DimensionError("need at least 2 penalty values")
     if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
@@ -174,13 +179,54 @@ def _validated_grid(lambdas) -> np.ndarray:
     return grid
 
 
+@dataclass(frozen=True, eq=False)
+class EstimatorPlan:
+    """The observation-independent half of the estimator for one (Psi, M, K, grid).
+
+    The coefficients (xi1, xi2) at each penalty depend only on the spectrum,
+    the dimensions and the penalty, so they are computed once here; every
+    observation drawn with this spectrum and these dimensions then costs only
+    its ridge solves and the 2-variable NNLS. ``lambdas`` is stored as the
+    validated grid; it and ``xi`` are read-only because every system the plan
+    assembles shares them.
+    """
+
+    spectrum: CorrelationSpectrum
+    m: int
+    k: int
+    lambdas: np.ndarray
+    equivalents: tuple = field(init=False)
+    xi: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        _check_dims(self.spectrum, self.m, self.k)
+        grid = _validated_grid(self.lambdas)
+        equivs = tuple(coefficients(self.spectrum, self.m, self.k, lam) for lam in grid)
+        xi = np.array([[e.xi1, e.xi2] for e in equivs])
+        grid.flags.writeable = xi.flags.writeable = False
+        object.__setattr__(self, "lambdas", grid)
+        object.__setattr__(self, "equivalents", equivs)
+        object.__setattr__(self, "xi", xi)
+
+    def system(self, model: LinearModel) -> RegressionSystem:
+        """Pair the plan's coefficients with the realized cost of ``model`` at each penalty."""
+        if model.spectrum is not self.spectrum:
+            raise DimensionError("model was not drawn with the plan's correlation spectrum")
+        if (model.m, model.k) != (self.m, self.k):
+            raise DimensionError(f"model is {model.m}x{model.k}, plan is {self.m}x{self.k}")
+        phi = np.array([ridge_solve(model, lam).phi for lam in self.lambdas])
+        return RegressionSystem(lambdas=self.lambdas, xi=self.xi, phi=phi,
+                                equivalents=self.equivalents)
+
+    def estimate(self, model: LinearModel) -> SnrEstimate:
+        """Blind SNR estimate of ``model``; see :func:`estimate_snr`."""
+        estimate, _ = solve_system(self.system(model))
+        return estimate
+
+
 def assemble_system(model: LinearModel, lambdas) -> RegressionSystem:
     """Evaluate (xi1, xi2) and the realized cost at each penalty in the grid."""
-    grid = _validated_grid(lambdas)
-    equivs = tuple(coefficients(model.spectrum, model.m, model.k, lam) for lam in grid)
-    xi = np.array([[e.xi1, e.xi2] for e in equivs])
-    phi = np.array([ridge_solve(model, lam).phi for lam in grid])
-    return RegressionSystem(lambdas=grid, xi=xi, phi=phi, equivalents=equivs)
+    return EstimatorPlan(model.spectrum, model.m, model.k, lambdas).system(model)
 
 
 def solve_system(system: RegressionSystem) -> tuple[SnrEstimate, RegressionSystem]:
@@ -208,10 +254,11 @@ def estimate_snr(model: LinearModel, lambdas) -> SnrEstimate:
 
     Degenerate outcomes (a zero variance estimate from the nonnegativity
     constraint) are flagged on the returned estimate, never raised, so large
-    Monte-Carlo sweeps are not interrupted by rare clamped trials.
+    Monte-Carlo sweeps are not interrupted by rare clamped trials. To estimate
+    many observations of one (Psi, M, K, grid), build an :class:`EstimatorPlan`
+    once and call its ``estimate``.
     """
-    estimate, _ = solve_system(assemble_system(model, lambdas))
-    return estimate
+    return EstimatorPlan(model.spectrum, model.m, model.k, lambdas).estimate(model)
 
 
 def ml_baseline(model: LinearModel, true_sigma_x2: float) -> SnrEstimate:

@@ -24,11 +24,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dataio
-from .estimator import LinearModel, _snr_fields, ml_baseline, estimate_snr, ridge_solve
+from .estimator import (EstimatorPlan, LinearModel, _snr_fields, estimate_snr, ml_baseline,
+                        ridge_solve)
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients
 from .scenarios import (
@@ -148,20 +150,29 @@ def _grid_label(grid) -> str:
     return ";".join(dataio.format_float(v) for v in grid)
 
 
+def _trial_outcome(sx: float, sn: float) -> tuple[float, float, bool, bool]:
+    """(snr_linear, snr_db, failed, degenerate) of one trial's variance pair.
+
+    A failed trial (nan pair) is not degenerate; a degenerate one has a zero
+    variance estimate, so its SNR is 0, inf or nan.
+    """
+    if not (np.isfinite(sx) and np.isfinite(sn)):
+        return math.nan, math.nan, True, False
+    snr, snr_db = _snr_fields(sx, sn)
+    return snr, snr_db, False, not (0.0 < snr < math.inf)
+
+
 def _aggregate(snr_true_db: float, method: str, m: int, k: int,
                sigmas: np.ndarray, grid_label: str = "") -> MetricsRow:
     """Fold per-trial (sigma_x2, sigma_n2) pairs into one metrics row."""
     true_lin = 10.0 ** (snr_true_db / 10.0)
-    total = sigmas.shape[0]
-    failed = int(np.sum(~np.isfinite(sigmas).all(axis=1)))
     est_db, errors = [], []
-    degenerate = 0
+    failed = degenerate = 0
     for sx, sn in sigmas:
-        if not (np.isfinite(sx) and np.isfinite(sn)):
-            continue
-        snr, snr_db = _snr_fields(sx, sn)
-        if not (0.0 < snr < math.inf):
-            degenerate += 1
+        snr, snr_db, trial_failed, trial_degenerate = _trial_outcome(sx, sn)
+        failed += trial_failed
+        degenerate += trial_degenerate
+        if trial_failed or trial_degenerate:
             continue
         est_db.append(snr_db)
         errors.append((snr - true_lin) / true_lin)
@@ -177,7 +188,7 @@ def _aggregate(snr_true_db: float, method: str, m: int, k: int,
         mean_est_db = norm_err_mean = nmse_db = norm_err_var = math.nan
     return MetricsRow(
         snr_true_db=snr_true_db, method=method, m=m, k=k,
-        trials=total, trials_degenerate=degenerate, trials_failed=failed,
+        trials=sigmas.shape[0], trials_degenerate=degenerate, trials_failed=failed,
         mean_est_db=mean_est_db, bias_db=mean_est_db - snr_true_db,
         nmse_db=nmse_db, norm_err_mean=norm_err_mean, norm_err_var=norm_err_var,
         grid_label=grid_label,
@@ -191,9 +202,22 @@ def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key):
     return truth, synthesize(spectrum, truth, rng)
 
 
-def _run_trial_block(spectrum: CorrelationSpectrum, definition: ScenarioDefinition,
-                     m: int, k: int, grid, snr_db: float, master_seed: int,
-                     key_prefix: tuple[int, ...], trial_lo: int, trial_hi: int) -> np.ndarray:
+class _FailedPlan(NamedTuple):
+    """Stands in for a block whose EstimatorPlan could not be built.
+
+    Trials still draw and run the baseline; the proposed method is left nan
+    on every one, and the build failure is logged once for the block.
+    """
+
+    spectrum: CorrelationSpectrum
+    m: int
+    k: int
+    estimate = None
+
+
+def _run_trial_block(plan: EstimatorPlan | _FailedPlan, definition: ScenarioDefinition,
+                     snr_db: float, master_seed: int, key_prefix: tuple[int, ...],
+                     trial_lo: int, trial_hi: int) -> np.ndarray:
     """Run trials [trial_lo, trial_hi); returns (n, 4) of proposed/ml sigma pairs.
 
     A failed draw leaves both pairs nan; a method that fails leaves only its own.
@@ -202,14 +226,17 @@ def _run_trial_block(spectrum: CorrelationSpectrum, definition: ScenarioDefiniti
     out = np.full((trial_hi - trial_lo, 4), math.nan)
     for offset, trial in enumerate(range(trial_lo, trial_hi)):
         try:
-            truth, model = _draw_trial(spectrum, signal, noise, m, k, master_seed,
-                                       (*key_prefix, trial))
+            truth, model = _draw_trial(plan.spectrum, signal, noise, plan.m, plan.k,
+                                       master_seed, (*key_prefix, trial))
         except RidgeSnrError as exc:
             log.warning("trial %d at %.1f dB failed: %s", trial, snr_db, exc)
             continue
-        for col, method, arg in ((0, estimate_snr, grid), (2, ml_baseline, truth.sigma_x2)):
+        for col, method, args in ((0, plan.estimate, (model,)),
+                                  (2, ml_baseline, (model, truth.sigma_x2))):
+            if method is None:
+                continue
             try:
-                result = method(model, arg)
+                result = method(*args)
             except RidgeSnrError as exc:
                 log.warning("trial %d at %.1f dB failed in %s: %s",
                             trial, snr_db, method.__name__, exc)
@@ -224,21 +251,21 @@ def _worker_count(config: RunConfig) -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def _run_point(executor, config: RunConfig, spectrum, definition, m, k, grid,
-               snr_db: float, key_prefix: tuple[int, ...]) -> np.ndarray:
+def _run_point(executor, config: RunConfig, plan, definition, snr_db: float,
+               key_prefix: tuple[int, ...]) -> np.ndarray:
     """All trials for one sweep point, either inline or on the pool."""
     trials = config.trials
     workers = _worker_count(config)
     if executor is None or workers == 1 or trials < 2 * workers:
-        return _run_trial_block(spectrum, definition, m, k, grid, snr_db,
-                                config.master_seed, key_prefix, 0, trials)
+        return _run_trial_block(plan, definition, snr_db, config.master_seed, key_prefix,
+                                0, trials)
     chunk = max(1, math.ceil(trials / (4 * workers)))
     futures = []
     for lo in range(0, trials, chunk):
         hi = min(trials, lo + chunk)
         futures.append((lo, executor.submit(
-            _run_trial_block, spectrum, definition, m, k, grid, snr_db,
-            config.master_seed, key_prefix, lo, hi)))
+            _run_trial_block, plan, definition, snr_db, config.master_seed, key_prefix,
+            lo, hi)))
     out = np.full((trials, 4), math.nan)
     for lo, fut in futures:
         block = fut.result()
@@ -264,11 +291,11 @@ def _trial_records(rows_sigma, snr_db, m, k, grid_label="") -> list[TrialRecord]
     records = []
     for trial, (sx_p, sn_p, sx_m, sn_m) in enumerate(rows_sigma):
         for method, sx, sn in (("proposed", sx_p, sn_p), ("ml", sx_m, sn_m)):
-            snr, snr_db_est = _snr_fields(sx, sn) if np.isfinite(sx) and np.isfinite(sn) else (math.nan, math.nan)
+            snr, snr_db_est, _, degenerate = _trial_outcome(sx, sn)
             records.append(TrialRecord(
                 snr_true_db=snr_db, method=method, m=m, k=k, trial=trial,
                 sigma_x2_hat=sx, sigma_n2_hat=sn, snr_linear=snr, snr_db=snr_db_est,
-                degenerate=not (0.0 < snr < math.inf), grid_label=grid_label,
+                degenerate=degenerate, grid_label=grid_label,
             ))
     return records
 
@@ -277,7 +304,8 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     """Run every SNR point of each block, aggregate both methods, write outputs.
 
     A block is (m, k, grid, grid_label, key_prefix); trial t at point p draws
-    from stream key_prefix + (p, t). The correlation is built once per m.
+    from stream key_prefix + (p, t). The correlation is built once per m and
+    the estimator plan once per block, since neither depends on the SNR.
     """
     points = config.snr_points_db or definition.snr_points_db
     spectra: dict[int, CorrelationSpectrum] = {}
@@ -288,9 +316,15 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
         for m, k, grid, label, key_prefix in blocks:
             if m not in spectra:
                 spectra[m] = _correlation_for(definition, m, config.master_seed)
+            try:
+                plan = EstimatorPlan(spectra[m], m, k, grid)
+            except RidgeSnrError as exc:
+                log.warning("estimator plan for %dx%d failed; proposed fails on every trial: %s",
+                            m, k, exc)
+                plan = _FailedPlan(spectra[m], m, k)
             for point_idx, snr_db in enumerate(points):
-                sigmas = _run_point(pool, config, spectra[m], definition, m, k, grid,
-                                    snr_db, (*key_prefix, point_idx))
+                sigmas = _run_point(pool, config, plan, definition, snr_db,
+                                    (*key_prefix, point_idx))
                 rows.append(_aggregate(snr_db, "proposed", m, k, sigmas[:, :2], label))
                 rows.append(_aggregate(snr_db, "ml", m, k, sigmas[:, 2:], label))
                 if config.dump_trials:

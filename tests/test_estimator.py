@@ -8,6 +8,7 @@ from ridgesnr import (
     CorrelationSpectrum,
     DimensionError,
     DistributionSpec,
+    EstimatorPlan,
     LinearModel,
     assemble_system,
     build_correlation,
@@ -158,6 +159,43 @@ class TestAssembleSystem:
         estimate = estimate_snr(model, grid)
         assert estimate.sigma_x2_hat == pytest.approx(exact[0], rel=1e-9)
         assert estimate.sigma_n2_hat == pytest.approx(exact[1], rel=1e-9)
+
+
+class TestEstimatorPlan:
+    def test_plan_estimate_equals_estimate_snr_exactly(self):
+        spec = build_correlation(CorrelationSpec(kind="exponential", dim=40, rho_hat=0.4))
+        sig = DistributionSpec.gaussian(1.0)
+        noi = DistributionSpec.gaussian(0.1)
+        grid = [1e-2, 2e-2, 3e-2]
+        plan = EstimatorPlan(spec, 40, 20, grid)
+        for trial in range(5):
+            rng = derive_rng(41, trial)
+            model = synthesize(spec, sample_truth(sig, noi, 40, 20, rng), rng)
+            assert plan.estimate(model) == estimate_snr(model, grid)
+            system = plan.system(model)
+            assert np.array_equal(system.phi, assemble_system(model, grid).phi)
+            assert system.xi is plan.xi
+
+    def test_rejects_model_of_another_spectrum_or_shape(self):
+        model = random_model(11)
+        plan = EstimatorPlan(model.spectrum, model.m, model.k, [0.5, 1.0])
+        twin = CorrelationSpectrum.from_diagonal(model.spectrum.eigenvalues.copy())
+        other = LinearModel(design=model.design, raw_design=model.raw_design,
+                            spectrum=twin, y=model.y)
+        with pytest.raises(DimensionError):
+            plan.system(other)
+        narrow = LinearModel(design=model.design[:, :4], raw_design=model.raw_design[:, :4],
+                             spectrum=model.spectrum, y=model.y)
+        with pytest.raises(DimensionError):
+            plan.system(narrow)
+
+    def test_shared_arrays_are_read_only(self):
+        model = random_model(12)
+        grid = np.array([0.5, 1.0])
+        plan = EstimatorPlan(model.spectrum, model.m, model.k, grid)
+        assert plan.lambdas is not grid and grid.flags.writeable
+        with pytest.raises(ValueError):
+            plan.system(model).xi[0, 0] = 0.0
 
 
 class TestLinearModel:

@@ -14,6 +14,7 @@ from ridgesnr import (
     run_scenario,
     verify_theorem,
 )
+from ridgesnr import estimator
 from ridgesnr.exceptions import RidgeSnrError
 from ridgesnr.harness import _aggregate, derive_rng
 
@@ -129,22 +130,105 @@ class TestFailedTrials:
         assert all(r.trials_failed == 3 for r in rows)
         assert any("failed" in record.message for record in caplog.records)
 
+    # the proposed method runs per trial as the block plan's estimate step
     @pytest.mark.parametrize("broken, method, intact", [
-        ("ml_baseline", "ml", "proposed"),
-        ("estimate_snr", "proposed", "ml"),
-    ])
+        ("ridgesnr.harness.ml_baseline", "ml", "proposed"),
+        ("ridgesnr.estimator.EstimatorPlan.estimate", "proposed", "ml"),
+    ], ids=["ml_baseline-ml-proposed", "estimate_snr-proposed-ml"])
     def test_one_method_failing_leaves_the_other_intact(self, monkeypatch, broken,
                                                         method, intact):
         def fail(*args):
             raise RidgeSnrError(f"{broken} unavailable")
 
-        monkeypatch.setattr(f"ridgesnr.harness.{broken}", fail)
+        monkeypatch.setattr(broken, fail)
         config = RunConfig(scenario="a", trials=5, master_seed=8,
                            snr_points_db=(10.0,), parallelism=1)
         rows = {r.method: r for r in run_scenario(config)}
         assert rows[intact].trials_failed == 0
         assert math.isfinite(rows[intact].mean_est_db)
         assert rows[method].trials_failed == rows[method].trials
+
+
+    def test_failed_trials_are_not_dumped_as_degenerate(self, monkeypatch, tmp_path):
+        def fail(*args):
+            raise RidgeSnrError("estimate unavailable")
+
+        monkeypatch.setattr("ridgesnr.estimator.EstimatorPlan.estimate", fail)
+        rows = run_scenario(small_config(tmp_path, trials=6))
+        lines = (tmp_path / "out_p1_trials.csv").read_text().splitlines()
+        header = lines[2].split(",")
+        data = [dict(zip(header, line.split(","))) for line in lines[3:]]
+        for row in rows:
+            dumped = [d for d in data if d["method"] == row.method
+                      and float(d["snr_true_db"]) == row.snr_true_db]
+            assert len(dumped) == row.trials
+            assert sum(d["degenerate"] == "1" for d in dumped) == row.trials_degenerate
+            failed = [d for d in dumped if math.isnan(float(d["sigma_x2_hat"]))]
+            assert len(failed) == row.trials_failed
+        assert all(r.trials_failed == 6 for r in rows if r.method == "proposed")
+
+    def test_plan_build_failure_fails_proposed_once_per_block(self, caplog):
+        # a square system at penalties near zero exhausts the fixed-point
+        # iteration budget, so the block's estimator plan cannot be built
+        defn = ScenarioDefinition(
+            name="square-tiny-lambda", description="M = K at lambda ~ 1e-6",
+            correlation=CorrelationSpec(kind="identity", dim=30),
+            signal=DistributionSpec.gaussian(1.0),
+            noise=DistributionSpec.gaussian(0.1),
+            swept="signal", dims=(30, 30), lambda_grid=(1e-6, 2e-6, 3e-6, 4e-6),
+            snr_points_db=(10.0,),
+        )
+        config = RunConfig(scenario=defn, trials=3, master_seed=8, parallelism=1)
+        with caplog.at_level("WARNING", logger="ridgesnr.harness"):
+            rows = {r.method: r for r in run_scenario(config)}
+        assert rows["proposed"].trials_failed == 3
+        assert rows["ml"].trials_failed == 0
+        assert math.isfinite(rows["ml"].mean_est_db)
+        assert len(caplog.records) == 1
+        assert "plan" in caplog.records[0].message
+
+    def test_zero_columns_fail_every_trial_without_aborting(self):
+        # the plan rejects K = 0 as the model does, before the fixed point
+        # (which raises a plain ValueError for K < 1) can abort the run
+        config = RunConfig(scenario="a", trials=2, master_seed=1, snr_points_db=(10.0,),
+                           dims=((16, 0),), parallelism=1)
+        assert all(r.trials_failed == 2 for r in dim_sweep(config))
+
+    def test_invalid_grid_still_aborts_the_run(self):
+        config = RunConfig(scenario="a", trials=2, master_seed=8, snr_points_db=(10.0,),
+                           lambda_grid=(1e-3, -1e-3), parallelism=1)
+        with pytest.raises(ValueError, match="positive"):
+            run_scenario(config)
+
+
+class TestTrialInvariantWork:
+    @staticmethod
+    def count_coefficient_calls(monkeypatch) -> list:
+        calls = []
+        original = estimator.coefficients
+
+        def counting(spectrum, m, k, lam, *args, **kwargs):
+            calls.append((m, k))
+            return original(spectrum, m, k, lam, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "coefficients", counting)
+        return calls
+
+    def test_one_plan_per_scenario_run(self, monkeypatch):
+        calls = self.count_coefficient_calls(monkeypatch)
+        config = RunConfig(scenario="a", trials=5, master_seed=8,
+                           snr_points_db=(0.0, 10.0, 20.0), parallelism=1)
+        run_scenario(config)
+        assert len(calls) == len(config.resolve_scenario().lambda_grid)
+
+    def test_one_plan_per_dims_block(self, monkeypatch):
+        calls = self.count_coefficient_calls(monkeypatch)
+        config = RunConfig(scenario="h", trials=3, master_seed=6,
+                           snr_points_db=(0.0, 10.0), parallelism=1)
+        dim_sweep(config)
+        definition = config.resolve_scenario()
+        grid_size = len(definition.lambda_grid)
+        assert calls == [dims for dims in definition.dims_list for _ in range(grid_size)]
 
 
 class TestVerifyTheorem:
