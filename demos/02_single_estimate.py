@@ -42,7 +42,7 @@ def main():
     for lam, (xi1, xi2), phi in zip(system.lambdas, system.xi, system.phi):
         print(f"{lam:8.3g} {xi1:12.6f} {xi2:12.6f} {phi:14.6f}")
 
-    estimate, fitted = solve_system(system)
+    estimate = solve_system(system)
     print(f"\nblind estimate: sigma_x^2 = {estimate.sigma_x2_hat:.4f}, "
           f"sigma_n^2 = {estimate.sigma_n2_hat:.4f}")
     print(f"estimated SNR  = {estimate.snr_db:+.2f} dB (true {SNR_DB:+.2f} dB)")

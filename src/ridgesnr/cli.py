@@ -65,21 +65,28 @@ def _parse_dims(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(dims)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trials", type=int, default=None,
-                        help="Monte-Carlo trials per point (default 1000; 200 for verify-theorem)")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    parser.add_argument("--lambdas", type=_parse_lambdas, default=None,
-                        help="comma-separated penalty grid (default: scenario catalog)")
-    parser.add_argument("--snr-db", type=_parse_snr_range, default=None,
-                        help="SNR sweep as a:b:step or comma list (default: scenario catalog)")
-    parser.add_argument("--out", default=None, help="output CSV path")
-    parser.add_argument("--parallelism", default=None, metavar="N|auto",
-                        help="worker processes (default 1)")
-    parser.add_argument("--dump-trials", action="store_true",
-                        help="also write a per-trial CSV next to --out")
-    parser.add_argument("--config", default=None,
-                        help="JSON file with defaults for the flags above")
+# Every run flag; an absent flag parses to None so the --config file can fill it.
+_RUN_FLAGS = {
+    "--trials": dict(type=int,
+                     help="Monte-Carlo trials per point (default 1000; 200 for verify-theorem)"),
+    "--seed": dict(type=int, help="master seed (default 0)"),
+    "--lambdas": dict(type=_parse_lambdas,
+                      help="comma-separated penalty grid (default: scenario catalog)"),
+    "--snr-db": dict(type=_parse_snr_range,
+                     help="SNR sweep as a:b:step or comma list (default: scenario catalog)"),
+    "--out": dict(help="output CSV path"),
+    "--parallelism": dict(metavar="N|auto", help="worker processes (default 1)"),
+    "--dump-trials": dict(action="store_true", default=None,
+                          help="also write a per-trial CSV next to --out"),
+    "--config": dict(help="JSON file with defaults for the flags above"),
+}
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, *unread: str) -> None:
+    """Register every run flag except the ``unread`` ones, which the subcommand ignores."""
+    for flag, spec in _RUN_FLAGS.items():
+        if flag not in unread:
+            parser.add_argument(flag, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the first trial's model files into DIR")
 
     p_vt = sub.add_parser("verify-theorem", help="Monte-Carlo check of the cost prediction")
-    _add_run_flags(p_vt)
+    _add_run_flags(p_vt, "--snr-db", "--parallelism", "--dump-trials")
 
     p_ds = sub.add_parser("dim-sweep", help="dimension-robustness sweep")
     _add_run_flags(p_ds)
@@ -109,17 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated MxK pairs (default: catalog g+h dims)")
 
     p_ls = sub.add_parser("lambda-sensitivity", help="penalty-grid sensitivity sweep")
-    _add_run_flags(p_ls)
+    _add_run_flags(p_ls, "--lambdas")
     return parser
 
 
 def _coerce_parallelism(value) -> int | None:
-    if value is None or value == "auto":
-        return None
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"parallelism must be positive, got {count}")
-    return count
+    """None for auto; RunConfig rejects a count below 1."""
+    return None if value is None or value == "auto" else int(value)
 
 
 def _resolve_run_config(args: argparse.Namespace, scenario: str,
@@ -132,40 +135,31 @@ def _resolve_run_config(args: argparse.Namespace, scenario: str,
         if not isinstance(payload, dict):
             raise DataFormatError(f"{args.config}: config must be a JSON object")
 
-    def pick(cli_value, key, fallback):
-        if cli_value is not None:
-            return cli_value
-        return payload.get(key, fallback)
+    def pick(flag, key, fallback):
+        value = getattr(args, flag, None)
+        return payload.get(key, fallback) if value is None else value
 
-    lambdas = pick(args.lambdas, "lambda_grid", None)
-    snr_points = pick(args.snr_db, "snr_points_db", None)
-    dims = pick(getattr(args, "dims", None), "dims", None)
-    parallelism = pick(args.parallelism, "parallelism", 1)
+    lambdas = pick("lambdas", "lambda_grid", None)
+    snr_points = pick("snr_db", "snr_points_db", None)
+    dims = pick("dims", "dims", None)
     return harness.RunConfig(
         scenario=scenario,
-        trials=int(pick(args.trials, "trials", default_trials)),
-        master_seed=int(pick(args.seed, "master_seed", 0)),
+        trials=int(pick("trials", "trials", default_trials)),
+        master_seed=int(pick("seed", "master_seed", 0)),
         lambda_grid=tuple(float(v) for v in lambdas) if lambdas else None,
         snr_points_db=tuple(float(v) for v in snr_points) if snr_points else None,
-        output_path=pick(args.out, "output_path", None),
-        parallelism=_coerce_parallelism(parallelism),
-        dump_trials=bool(args.dump_trials or payload.get("dump_trials", False)),
+        output_path=pick("out", "output_path", None),
+        parallelism=_coerce_parallelism(pick("parallelism", "parallelism", 1)),
+        dump_trials=bool(pick("dump_trials", "dump_trials", False)),
         dims=tuple((int(m), int(k)) for m, k in dims) if dims else None,
     )
 
 
 def _print_estimate(estimate, as_json: bool) -> None:
-    payload = {
-        "sigma_x2_hat": estimate.sigma_x2_hat,
-        "sigma_n2_hat": estimate.sigma_n2_hat,
-        "snr_linear": estimate.snr_linear,
-        "snr_db": estimate.snr_db,
-        "degenerate": estimate.degenerate,
-        "fit_residual_norm": estimate.fit_residual_norm,
-        "fixed_point_iters": list(estimate.fixed_point_iters),
-    }
     if as_json:
-        print(json.dumps(payload))
+        print(json.dumps({**dataio._estimate_json(estimate),
+                          "fit_residual_norm": estimate.fit_residual_norm,
+                          "fixed_point_iters": list(estimate.fixed_point_iters)}))
         return
     print(f"sigma_x2_hat      = {estimate.sigma_x2_hat:.10g}")
     print(f"sigma_n2_hat      = {estimate.sigma_n2_hat:.10g}")
@@ -197,16 +191,14 @@ def _cmd_scenario(args) -> int:
     if args.dump:
         _dump_first_trial(config, args.dump)
     rows = harness.run_scenario(config)
-    print("\n".join(harness._metrics_table(rows)))
+    print("\n".join(harness._table(harness.MetricsRow, rows)))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     config = _resolve_run_config(args, "fig1", default_trials=200)
     rows = harness.verify_theorem(config)
-    print("lambda,mc_mean_phi,alpha,rel_error")
-    for lam, mc, a, rel in rows:
-        print(",".join(dataio.format_float(v) for v in (lam, mc, a, rel)))
+    print("\n".join(harness._theorem_table(rows)))
     print(f"# max relative error: {max(r[3] for r in rows):.6f}")
     return EXIT_OK
 
@@ -217,14 +209,14 @@ def _cmd_dim_sweep(args) -> int:
         dims = scenario_catalog("g").dims_list + scenario_catalog("h").dims_list
         config = dataclasses.replace(config, dims=dims)
     rows = harness.dim_sweep(config)
-    print("\n".join(harness._metrics_table(rows)))
+    print("\n".join(harness._table(harness.MetricsRow, rows)))
     return EXIT_OK
 
 
 def _cmd_lambda_sensitivity(args) -> int:
     config = _resolve_run_config(args, "i")
     rows = harness.lambda_sensitivity(config)
-    print("\n".join(harness._metrics_table(rows)))
+    print("\n".join(harness._table(harness.MetricsRow, rows)))
     return EXIT_OK
 
 

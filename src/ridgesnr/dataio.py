@@ -142,6 +142,17 @@ def load_model(y_path: str | Path, wbar_path: str | Path,
     return LinearModel(design=design, raw_design=wbar, spectrum=spectrum, y=y)
 
 
+def _estimate_json(estimate: SnrEstimate) -> dict:
+    """The fields of an estimate in ``estimate.json``; ``estimate --json`` adds diagnostics."""
+    return {
+        "sigma_x2_hat": estimate.sigma_x2_hat,
+        "sigma_n2_hat": estimate.sigma_n2_hat,
+        "snr_linear": estimate.snr_linear,
+        "snr_db": estimate.snr_db,
+        "degenerate": estimate.degenerate,
+    }
+
+
 def dump_model(directory: str | Path, model: LinearModel, lambdas,
                estimate: SnrEstimate | None = None) -> dict:
     """Write y.csv, wbar.csv, psi.csv (and the grid/estimate) into a directory.
@@ -162,12 +173,5 @@ def dump_model(directory: str | Path, model: LinearModel, lambdas,
     Path(paths["lambdas"]).write_text(",".join(format_float(v) for v in lambdas) + "\n")
     if estimate is not None:
         paths["estimate"] = directory / "estimate.json"
-        payload = {
-            "sigma_x2_hat": estimate.sigma_x2_hat,
-            "sigma_n2_hat": estimate.sigma_n2_hat,
-            "snr_linear": estimate.snr_linear,
-            "snr_db": estimate.snr_db,
-            "degenerate": estimate.degenerate,
-        }
-        Path(paths["estimate"]).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(paths["estimate"]).write_text(json.dumps(_estimate_json(estimate), indent=2) + "\n")
     return {k: str(v) for k, v in paths.items()}

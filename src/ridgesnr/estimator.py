@@ -12,7 +12,7 @@ for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -117,7 +117,6 @@ class RegressionSystem:
     xi: np.ndarray
     phi: np.ndarray
     equivalents: tuple
-    residual: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,7 @@ class EstimatorPlan:
 
     def estimate(self, model: LinearModel) -> SnrEstimate:
         """Blind SNR estimate of ``model``; see :func:`estimate_snr`."""
-        estimate, _ = solve_system(self.system(model))
-        return estimate
+        return solve_system(self.system(model))
 
 
 def assemble_system(model: LinearModel, lambdas) -> RegressionSystem:
@@ -229,15 +227,15 @@ def assemble_system(model: LinearModel, lambdas) -> RegressionSystem:
     return EstimatorPlan(model.spectrum, model.m, model.k, lambdas).system(model)
 
 
-def solve_system(system: RegressionSystem) -> tuple[SnrEstimate, RegressionSystem]:
+def solve_system(system: RegressionSystem) -> SnrEstimate:
     """Invert an assembled system for the variances under the sign constraint.
 
-    Returns the estimate together with the system carrying its fit residual.
+    The estimate carries the norm of the fit residual phi - Xi @ sigma.
     """
     sigma, fit_residual = nnls_2var(system.xi, system.phi)
     sigma_x2, sigma_n2 = float(sigma[0]), float(sigma[1])
     snr, snr_db = _snr_fields(sigma_x2, sigma_n2)
-    estimate = SnrEstimate(
+    return SnrEstimate(
         sigma_x2_hat=sigma_x2,
         sigma_n2_hat=sigma_n2,
         snr_linear=snr,
@@ -245,8 +243,6 @@ def solve_system(system: RegressionSystem) -> tuple[SnrEstimate, RegressionSyste
         fit_residual_norm=fit_residual,
         fixed_point_iters=tuple(e.fixed_point_iters for e in system.equivalents),
     )
-    fitted = replace(system, residual=system.phi - system.xi @ sigma)
-    return estimate, fitted
 
 
 def estimate_snr(model: LinearModel, lambdas) -> SnrEstimate:

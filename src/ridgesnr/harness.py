@@ -22,9 +22,9 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -202,36 +202,26 @@ def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key):
     return truth, synthesize(spectrum, truth, rng)
 
 
-class _FailedPlan(NamedTuple):
-    """Stands in for a block whose EstimatorPlan could not be built.
-
-    Trials still draw and run the baseline; the proposed method is left nan
-    on every one, and the build failure is logged once for the block.
-    """
-
-    spectrum: CorrelationSpectrum
-    m: int
-    k: int
-    estimate = None
-
-
-def _run_trial_block(plan: EstimatorPlan | _FailedPlan, definition: ScenarioDefinition,
-                     snr_db: float, master_seed: int, key_prefix: tuple[int, ...],
+def _run_trial_block(block, definition: ScenarioDefinition, snr_db: float,
+                     master_seed: int, key_prefix: tuple[int, ...],
                      trial_lo: int, trial_hi: int) -> np.ndarray:
     """Run trials [trial_lo, trial_hi); returns (n, 4) of proposed/ml sigma pairs.
 
-    A failed draw leaves both pairs nan; a method that fails leaves only its own.
+    ``block`` is (spectrum, m, k, plan); a plan of None (its build failed)
+    leaves the proposed pair nan on every trial. A failed draw leaves both
+    pairs nan; a method that fails leaves only its own.
     """
+    spectrum, m, k, plan = block
     signal, noise = definition.specs_at(snr_db)
     out = np.full((trial_hi - trial_lo, 4), math.nan)
     for offset, trial in enumerate(range(trial_lo, trial_hi)):
         try:
-            truth, model = _draw_trial(plan.spectrum, signal, noise, plan.m, plan.k,
+            truth, model = _draw_trial(spectrum, signal, noise, m, k,
                                        master_seed, (*key_prefix, trial))
         except RidgeSnrError as exc:
             log.warning("trial %d at %.1f dB failed: %s", trial, snr_db, exc)
             continue
-        for col, method, args in ((0, plan.estimate, (model,)),
+        for col, method, args in ((0, plan.estimate if plan else None, (model,)),
                                   (2, ml_baseline, (model, truth.sigma_x2))):
             if method is None:
                 continue
@@ -251,33 +241,26 @@ def _worker_count(config: RunConfig) -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def _run_point(executor, config: RunConfig, plan, definition, snr_db: float,
+def _run_point(executor, config: RunConfig, block, definition, snr_db: float,
                key_prefix: tuple[int, ...]) -> np.ndarray:
     """All trials for one sweep point, either inline or on the pool."""
     trials = config.trials
     workers = _worker_count(config)
     if executor is None or workers == 1 or trials < 2 * workers:
-        return _run_trial_block(plan, definition, snr_db, config.master_seed, key_prefix,
+        return _run_trial_block(block, definition, snr_db, config.master_seed, key_prefix,
                                 0, trials)
     chunk = max(1, math.ceil(trials / (4 * workers)))
     futures = []
     for lo in range(0, trials, chunk):
         hi = min(trials, lo + chunk)
         futures.append((lo, executor.submit(
-            _run_trial_block, plan, definition, snr_db, config.master_seed, key_prefix,
+            _run_trial_block, block, definition, snr_db, config.master_seed, key_prefix,
             lo, hi)))
     out = np.full((trials, 4), math.nan)
     for lo, fut in futures:
         block = fut.result()
         out[lo:lo + block.shape[0]] = block
     return out
-
-
-def _pool(config: RunConfig):
-    workers = _worker_count(config)
-    if workers == 1:
-        return None
-    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _correlation_for(definition: ScenarioDefinition, m: int, seed: int) -> CorrelationSpectrum:
@@ -311,7 +294,8 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     spectra: dict[int, CorrelationSpectrum] = {}
     rows: list[MetricsRow] = []
     records: list[TrialRecord] = []
-    pool = _pool(config)
+    workers = _worker_count(config)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for m, k, grid, label, key_prefix in blocks:
             if m not in spectra:
@@ -321,9 +305,9 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
             except RidgeSnrError as exc:
                 log.warning("estimator plan for %dx%d failed; proposed fails on every trial: %s",
                             m, k, exc)
-                plan = _FailedPlan(spectra[m], m, k)
+                plan = None
             for point_idx, snr_db in enumerate(points):
-                sigmas = _run_point(pool, config, plan, definition, snr_db,
+                sigmas = _run_point(pool, config, (spectra[m], m, k, plan), definition, snr_db,
                                     (*key_prefix, point_idx))
                 rows.append(_aggregate(snr_db, "proposed", m, k, sigmas[:, :2], label))
                 rows.append(_aggregate(snr_db, "ml", m, k, sigmas[:, 2:], label))
@@ -370,7 +354,12 @@ def dim_sweep(config: RunConfig) -> list[MetricsRow]:
 
 
 def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
-    """Repeat the scenario sweep for each catalog penalty grid."""
+    """Repeat the scenario sweep for each catalog penalty grid.
+
+    A set ``lambda_grid`` is rejected: the run would not use it.
+    """
+    if config.lambda_grid is not None:
+        raise ValueError("lambda_sensitivity runs the catalog grids; lambda_grid must be unset")
     definition = config.resolve_scenario()
     if not definition.lambda_grids:
         definition = scenario_catalog("i", seed=config.master_seed)
@@ -384,8 +373,11 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
 
     One design draw is held fixed; ``config.trials`` (x0, n) pairs are drawn
     and the realized cost is averaged per penalty. Returns rows of
-    (lambda, mc_mean_phi, predicted, rel_error).
+    (lambda, mc_mean_phi, predicted, rel_error). A set ``snr_points_db`` is
+    rejected: the variances are the scenario's own.
     """
+    if config.snr_points_db is not None:
+        raise ValueError("verify_theorem uses the scenario's variances; snr_points_db must be unset")
     definition = config.resolve_scenario()
     m, k = definition.dims
     grid = config.lambda_grid or definition.lambda_grid
@@ -425,16 +417,10 @@ def estimate_from_files(y_path, wbar_path, psi_path, lambdas):
 # ---------------------------------------------------------------------------
 # CSV output
 
-_METRICS_COLUMNS = (
-    "snr_true_db", "method", "m", "k", "trials", "trials_degenerate",
-    "trials_failed", "mean_est_db", "bias_db", "nmse_db", "norm_err_mean",
-    "norm_err_var", "grid_label",
-)
-
-_TRIAL_COLUMNS = (
-    "snr_true_db", "method", "m", "k", "trial", "sigma_x2_hat",
-    "sigma_n2_hat", "snr_linear", "snr_db", "degenerate", "grid_label",
-)
+# Text of one CSV cell, by the declared type of its record field (a string,
+# as this module postpones the evaluation of annotations).
+_CELL_TEXT = {"float": dataio.format_float, "int": str, "str": str,
+              "bool": lambda value: str(int(value))}
 
 
 def _config_header(config: RunConfig) -> list[str]:
@@ -454,45 +440,34 @@ def _config_header(config: RunConfig) -> list[str]:
     ]
 
 
-def _metrics_table(rows: list[MetricsRow]) -> list[str]:
-    """Column header and one CSV line per metrics row."""
-    lines = [",".join(_METRICS_COLUMNS)]
-    for row in rows:
-        lines.append(",".join((
-            dataio.format_float(row.snr_true_db), row.method, str(row.m), str(row.k),
-            str(row.trials), str(row.trials_degenerate), str(row.trials_failed),
-            dataio.format_float(row.mean_est_db), dataio.format_float(row.bias_db),
-            dataio.format_float(row.nmse_db), dataio.format_float(row.norm_err_mean),
-            dataio.format_float(row.norm_err_var), row.grid_label,
-        )))
+def _table(record_type: type, records) -> list[str]:
+    """Column header (the record type's field names) and one CSV line per record."""
+    columns = fields(record_type)
+    values = attrgetter(*(column.name for column in columns))
+    texts = [_CELL_TEXT[column.type] for column in columns]
+    lines = [",".join(column.name for column in columns)]
+    for record in records:
+        lines.append(",".join(text(value) for text, value in zip(texts, values(record))))
     return lines
 
 
+def _theorem_table(rows: list[tuple[float, float, float, float]]) -> list[str]:
+    """Column header and one CSV line per (lambda, mc_mean_phi, alpha, rel_error) row."""
+    return ["lambda,mc_mean_phi,alpha,rel_error"] + [
+        ",".join(dataio.format_float(v) for v in row) for row in rows]
+
+
+def _write_csv(path: str | Path, config: RunConfig, table: list[str]) -> None:
+    Path(path).write_text("\n".join(_config_header(config) + table) + "\n")
+
+
 def write_metrics_csv(path: str | Path, config: RunConfig, rows: list[MetricsRow]) -> None:
-    lines = _config_header(config) + _metrics_table(rows)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_trials_csv(path: str | Path, config: RunConfig, records: list[TrialRecord]) -> None:
-    lines = _config_header(config)
-    lines.append(",".join(_TRIAL_COLUMNS))
-    for r in records:
-        lines.append(",".join((
-            dataio.format_float(r.snr_true_db), r.method, str(r.m), str(r.k),
-            str(r.trial), dataio.format_float(r.sigma_x2_hat),
-            dataio.format_float(r.sigma_n2_hat), dataio.format_float(r.snr_linear),
-            dataio.format_float(r.snr_db), str(int(r.degenerate)), r.grid_label,
-        )))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, config, _table(MetricsRow, rows))
 
 
 def write_theorem_csv(path: str | Path, config: RunConfig,
                       rows: list[tuple[float, float, float, float]]) -> None:
-    lines = _config_header(config)
-    lines.append("lambda,mc_mean_phi,alpha,rel_error")
-    for lam, mc, a, rel in rows:
-        lines.append(",".join(dataio.format_float(v) for v in (lam, mc, a, rel)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, config, _theorem_table(rows))
 
 
 def _write_outputs(config: RunConfig, rows: list[MetricsRow],
@@ -502,4 +477,5 @@ def _write_outputs(config: RunConfig, rows: list[MetricsRow],
     write_metrics_csv(config.output_path, config, rows)
     if config.dump_trials:
         out = Path(config.output_path)
-        write_trials_csv(out.with_name(out.stem + "_trials" + out.suffix), config, records)
+        _write_csv(out.with_name(out.stem + "_trials" + out.suffix), config,
+                   _table(TrialRecord, records))

@@ -39,6 +39,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+# Eigenvalues of a nominally PSD correlation matrix may go slightly negative
+# from round-off; below this relative threshold they are floored, beyond it
+# the matrix is treated as genuinely indefinite.
+EIG_FLOOR_REL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +88,6 @@ class CorrelationSpectrum:
         return self.basis is None
 
     @property
-    def q_max(self) -> float:
-        return float(self.eigenvalues.max())
-
-    @property
     def trace(self) -> float:
         return float(self.eigenvalues.sum())
 
@@ -112,10 +112,10 @@ class CorrelationSpectrum:
         return self.basis @ (self.eigenvalues[:, None] * self.basis.T)
 
     @classmethod
-    def from_matrix(cls, psi, floor_rel: float = 1e-8) -> "CorrelationSpectrum":
+    def from_matrix(cls, psi) -> "CorrelationSpectrum":
         """Build from a dense symmetric nonnegative-definite matrix.
 
-        Eigenvalues in [-floor_rel * q_max, 0) are floored to zero (round-off
+        Eigenvalues in [-EIG_FLOOR_REL * q_max, 0) are floored to zero (round-off
         from the eigensolver); anything more negative raises DefinitenessError.
         """
         pair = sym_eig(psi)
@@ -123,10 +123,10 @@ class CorrelationSpectrum:
         q_max = float(q.max())
         if q_max <= 0:
             raise DefinitenessError("correlation matrix has no positive eigenvalue")
-        if q.min() < -floor_rel * q_max:
+        if q.min() < -EIG_FLOOR_REL * q_max:
             raise DefinitenessError(
                 f"correlation matrix is indefinite: most negative eigenvalue {q.min():.6e} "
-                f"is below -{floor_rel:g} * q_max = {-floor_rel * q_max:.6e}"
+                f"is below -{EIG_FLOOR_REL:g} * q_max = {-EIG_FLOOR_REL * q_max:.6e}"
             )
         q[q < 0] = 0.0
         return cls(eigenvalues=q, basis=pair.eigenvectors)
@@ -196,15 +196,14 @@ def trace_psi_t(spectrum: CorrelationSpectrum, t: float, delta: float) -> float:
     return float(np.sum(q / (1.0 + c * q)))
 
 
-def coefficients(spectrum: CorrelationSpectrum, M: int, K: int, lam: float,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> DeterministicEquivalents:
+def coefficients(spectrum: CorrelationSpectrum, M: int, K: int, lam: float) -> DeterministicEquivalents:
     """Deterministic coefficients (xi1, xi2) of the predicted cost at penalty ``lam``."""
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if spectrum.dim != M:
         raise DimensionError(f"spectrum dim {spectrum.dim} != M = {M}")
     t = K / lam
-    delta, iters = solve_delta(spectrum, K, t, tol=tol, max_iter=max_iter)
+    delta, iters = solve_delta(spectrum, K, t)
     tr = trace_psi_t(spectrum, t, delta)
     denom = 1.0 + t * delta
     xi1 = tr / denom

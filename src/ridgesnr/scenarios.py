@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 CORRELATION_KINDS = ("identity", "diag_uniform", "bessel", "exponential")
-# Eigenvalues of a nominally PSD correlation model may go slightly negative
-# from round-off; below this relative threshold they are floored, beyond it
-# the model is treated as genuinely indefinite.
-EIG_FLOOR_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -133,8 +129,8 @@ class GroundTruth:
 def build_correlation(spec: CorrelationSpec) -> CorrelationSpectrum:
     """Materialize the correlation model as a spectrum.
 
-    Dense models (bessel, exponential) are eigendecomposed; eigenvalues within
-    EIG_FLOOR_REL * q_max below zero are floored, anything worse raises.
+    Dense models (bessel, exponential) are eigendecomposed by
+    ``CorrelationSpectrum.from_matrix``, which floors round-off negative eigenvalues.
     rho_hat = 0 uses the convention 0^0 = 1, i.e. Psi = I.
     """
     m = spec.dim
@@ -155,7 +151,7 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationSpectrum:
         if spec.rho_hat == 0.0:
             return CorrelationSpectrum.from_diagonal(np.ones(m))
         psi = spec.rho_hat ** dist2.astype(float)
-    return CorrelationSpectrum.from_matrix(psi, floor_rel=EIG_FLOOR_REL)
+    return CorrelationSpectrum.from_matrix(psi)
 
 
 def sample_truth(signal: DistributionSpec, noise: DistributionSpec,
@@ -226,6 +222,39 @@ _SENSITIVITY_GRIDS = (
 
 SCENARIO_NAMES = ("a", "b", "c", "d", "g", "h", "i", "fig1")
 
+# Every entry but a and fig1 varies another entry: name -> (base, changed fields).
+_VARIANTS = {
+    "b": ("a", dict(
+        description="Bessel correlation, uniform(-3,3) noise, Gaussian signal swept",
+        correlation=CorrelationSpec(kind="bessel", dim=80),
+        noise=DistributionSpec.uniform(3.0),
+    )),
+    "c": ("a", dict(
+        description="exponential correlation (0.4), uniform(-5,5) signal, Gaussian noise swept",
+        correlation=CorrelationSpec(kind="exponential", dim=80, rho_hat=0.4),
+        signal=DistributionSpec.uniform(5.0),
+        noise=DistributionSpec.gaussian(1.0),
+        swept="noise",
+    )),
+    "d": ("c", dict(
+        description="exponential correlation (0.4), student-t(5) signal, Gaussian noise swept",
+        signal=DistributionSpec.student_t(5.0),
+    )),
+    "g": ("a", dict(
+        description="dimension sweep, small systems, scenario-a world",
+        lambda_grid=_DIM_SWEEP_GRID,
+        dims_list=((10, 7), (20, 10), (40, 20), (80, 40)),
+    )),
+    "h": ("g", dict(
+        description="dimension sweep, near-square systems, scenario-a world",
+        dims_list=((31, 30), (30, 35)),
+    )),
+    "i": ("b", dict(
+        description="penalty-grid sensitivity on the scenario-b world",
+        lambda_grids=_SENSITIVITY_GRIDS,
+    )),
+}
+
 
 def scenario_catalog(name: str, seed: int | None = None) -> ScenarioDefinition:
     """Benchmark configuration by name: a, b, c, d, g, h, i, or fig1.
@@ -235,88 +264,20 @@ def scenario_catalog(name: str, seed: int | None = None) -> ScenarioDefinition:
     """
     if name not in SCENARIO_NAMES:
         raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
-    diag80 = CorrelationSpec(kind="diag_uniform", dim=80, seed=seed)
+    if name in _VARIANTS:
+        base, changes = _VARIANTS[name]
+        return replace(scenario_catalog(base, seed), name=name, **changes)
     if name == "a":
         return ScenarioDefinition(
             name="a",
             description="diagonal-uniform correlation, Gaussian noise var 0.1, Gaussian signal swept",
-            correlation=diag80,
+            correlation=CorrelationSpec(kind="diag_uniform", dim=80, seed=seed),
             signal=DistributionSpec.gaussian(1.0),
             noise=DistributionSpec.gaussian(0.1),
             swept="signal",
             dims=(80, 40),
             lambda_grid=_BASE_GRID,
             snr_points_db=_BASE_SNR_SWEEP,
-        )
-    if name == "b":
-        return ScenarioDefinition(
-            name="b",
-            description="Bessel correlation, uniform(-3,3) noise, Gaussian signal swept",
-            correlation=CorrelationSpec(kind="bessel", dim=80),
-            signal=DistributionSpec.gaussian(1.0),
-            noise=DistributionSpec.uniform(3.0),
-            swept="signal",
-            dims=(80, 40),
-            lambda_grid=_BASE_GRID,
-            snr_points_db=_BASE_SNR_SWEEP,
-        )
-    if name == "c":
-        return ScenarioDefinition(
-            name="c",
-            description="exponential correlation (0.4), uniform(-5,5) signal, Gaussian noise swept",
-            correlation=CorrelationSpec(kind="exponential", dim=80, rho_hat=0.4),
-            signal=DistributionSpec.uniform(5.0),
-            noise=DistributionSpec.gaussian(1.0),
-            swept="noise",
-            dims=(80, 40),
-            lambda_grid=_BASE_GRID,
-            snr_points_db=_BASE_SNR_SWEEP,
-        )
-    if name == "d":
-        return ScenarioDefinition(
-            name="d",
-            description="exponential correlation (0.4), student-t(5) signal, Gaussian noise swept",
-            correlation=CorrelationSpec(kind="exponential", dim=80, rho_hat=0.4),
-            signal=DistributionSpec.student_t(5.0),
-            noise=DistributionSpec.gaussian(1.0),
-            swept="noise",
-            dims=(80, 40),
-            lambda_grid=_BASE_GRID,
-            snr_points_db=_BASE_SNR_SWEEP,
-        )
-    if name == "g":
-        return ScenarioDefinition(
-            name="g",
-            description="dimension sweep, small systems, scenario-a world",
-            correlation=diag80,
-            signal=DistributionSpec.gaussian(1.0),
-            noise=DistributionSpec.gaussian(0.1),
-            swept="signal",
-            dims=(80, 40),
-            lambda_grid=_DIM_SWEEP_GRID,
-            snr_points_db=_BASE_SNR_SWEEP,
-            dims_list=((10, 7), (20, 10), (40, 20), (80, 40)),
-        )
-    if name == "h":
-        return ScenarioDefinition(
-            name="h",
-            description="dimension sweep, near-square systems, scenario-a world",
-            correlation=diag80,
-            signal=DistributionSpec.gaussian(1.0),
-            noise=DistributionSpec.gaussian(0.1),
-            swept="signal",
-            dims=(80, 40),
-            lambda_grid=_DIM_SWEEP_GRID,
-            snr_points_db=_BASE_SNR_SWEEP,
-            dims_list=((31, 30), (30, 35)),
-        )
-    if name == "i":
-        base = scenario_catalog("b")
-        return replace(
-            base,
-            name="i",
-            description="penalty-grid sensitivity on the scenario-b world",
-            lambda_grids=_SENSITIVITY_GRIDS,
         )
     return ScenarioDefinition(
         name="fig1",

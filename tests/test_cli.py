@@ -179,6 +179,39 @@ class TestCliRuns:
         assert out.startswith("lambda,mc_mean_phi,alpha,rel_error")
         assert "# max relative error" in out
 
+    def test_verify_theorem_stdout_table_is_the_csv_table(self, tmp_path, capsys):
+        out = tmp_path / "theorem.csv"
+        code = cli.main(["verify-theorem", "--trials", "3", "--lambdas", "0.5,5",
+                         "--out", str(out)])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1].startswith("# max relative error")
+        table = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert printed[:-1] == table
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-theorem", "--snr-db", "5"],
+        ["verify-theorem", "--parallelism", "2"],
+        ["verify-theorem", "--dump-trials"],
+        ["lambda-sensitivity", "--lambdas", "0.5,0.6"],
+    ], ids=lambda argv: argv[0] + argv[1])
+    def test_flags_the_run_ignores_are_rejected_by_parser(self, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, "--trials", "2"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command, payload", [
+        ("verify-theorem", {"snr_points_db": [5.0]}),
+        ("lambda-sensitivity", {"lambda_grid": [0.5, 0.6]}),
+    ])
+    def test_config_file_values_the_run_ignores_exit_config_error(self, tmp_path, capsys,
+                                                                  command, payload):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trials": 2, **payload}))
+        out = tmp_path / "o.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_dim_sweep_default_dims(self, capsys):
         code = cli.main(["dim-sweep", "--trials", "2", "--snr-db", "10"])
         assert code == 0

@@ -271,6 +271,12 @@ class TestVerifyTheorem:
         assert "lambda,mc_mean_phi,alpha,rel_error" in text
 
 
+    def test_rejects_snr_points_it_would_not_run(self):
+        config = RunConfig(scenario="fig1", trials=2, snr_points_db=(5.0,))
+        with pytest.raises(ValueError, match="snr_points_db"):
+            verify_theorem(config)
+
+
 class TestDimSweep:
     def test_runs_each_dimension(self, tmp_path):
         config = RunConfig(scenario="h", trials=6, master_seed=6,
@@ -309,6 +315,11 @@ class TestLambdaSensitivity:
         labels = {r.grid_label for r in rows}
         assert len(labels) == 3
         assert all(r.grid_label for r in rows)
+
+    def test_rejects_a_grid_it_would_not_run(self):
+        config = RunConfig(scenario="i", trials=2, lambda_grid=(0.5, 0.6))
+        with pytest.raises(ValueError, match="lambda_grid"):
+            lambda_sensitivity(config)
 
 
 # sha256 of the metrics and per-trial CSVs at trials=4, seed=3, one SNR point.
