@@ -14,6 +14,7 @@ from .estimator import (
     assemble_system,
     estimate_snr,
     ml_baseline,
+    ridge_costs,
     ridge_solve,
     solve_system,
 )
@@ -58,7 +59,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EstimatorPlan", "LinearModel", "RidgeSolution", "RegressionSystem", "SnrEstimate",
-    "assemble_system", "estimate_snr", "ml_baseline", "ridge_solve", "solve_system",
+    "assemble_system", "estimate_snr", "ml_baseline", "ridge_costs", "ridge_solve",
+    "solve_system",
     "ConvergenceError", "DataFormatError", "DefinitenessError",
     "DimensionError", "RidgeSnrError",
     "MetricsRow", "RunConfig", "derive_rng", "dim_sweep",

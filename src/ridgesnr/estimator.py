@@ -12,8 +12,10 @@ for comparison.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "SnrEstimate",
     "EstimatorPlan",
     "ridge_solve",
+    "ridge_costs",
     "assemble_system",
     "solve_system",
     "estimate_snr",
@@ -41,6 +44,9 @@ MAX_ASPECT = 100.0
 # Stand-in for lambda = 0 in the least-squares baseline, small enough that the
 # ridge solution is the (minimum-norm) LS solution to working precision.
 LS_EPSILON = 1e-10
+
+# Most observations ridge_costs stacks into one matrix product.
+COST_BLOCK = 64
 
 
 def _check_dims(spectrum: CorrelationSpectrum, m: int, k: int) -> None:
@@ -165,6 +171,42 @@ def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
     resid = model.y - model.design @ x_hat
     phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
     return RidgeSolution(lam=lam, x_hat=x_hat, phi=phi)
+
+
+def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
+    """Normalized ridge cost of many observations on one fixed design, from one SVD.
+
+    With W = U S V^T (thin SVD), K phi(lam) = sum_i lam/(s_i^2 + lam) (u_i^T y)^2
+    + ||y - U U^T y||^2; the second term, the energy outside W's range, is
+    taken as a residual norm so it does not cancel at high SNR. ``ys`` is an
+    iterable of observation vectors, stacked in blocks of at most
+    ``COST_BLOCK`` columns so memory does not grow with their number; one
+    (len(lambdas), n) array of costs is yielded per block of n observations.
+    Each cost equals ``ridge_solve(model, lam).phi`` to rounding.
+    """
+    w = np.asarray(design, dtype=float)
+    if w.ndim != 2:
+        raise DimensionError("design must be a matrix")
+    if not np.all(np.isfinite(w)):
+        raise DimensionError("design contains non-finite entries")
+    lams = np.asarray(lambdas, dtype=float).reshape(-1, 1)
+    for lam in lams[:, 0]:
+        if lam <= 0:
+            raise ValueError(f"lambda must be positive, got {lam}")
+    m, k = w.shape
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    shrink = lams / (s ** 2 + lams)
+    observations = iter(ys)
+    while chunk := list(islice(observations, COST_BLOCK)):
+        block = np.asarray(chunk, dtype=float).T
+        if block.ndim != 2 or block.shape[0] != m:
+            raise DimensionError(f"observations of shape {block.shape[::-1]} do not have "
+                                 f"the design's {m} rows")
+        if not np.all(np.isfinite(block)):
+            raise DimensionError("observation contains non-finite entries")
+        coef = u.T @ block
+        outside = block - u @ coef
+        yield (shrink @ coef ** 2 + np.sum(outside ** 2, axis=0)) / k
 
 
 def _validated_grid(lambdas) -> np.ndarray:

@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .estimator import (EstimatorPlan, LinearModel, _snr_fields, estimate_snr, ml_baseline,
-                        ridge_solve)
+from .estimator import (EstimatorPlan, LinearModel, _check_dims, _snr_fields, estimate_snr,
+                        ml_baseline, ridge_costs)
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients
 from .scenarios import (
@@ -320,6 +320,13 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     return rows
 
 
+def _own_dims(config: RunConfig, definition: ScenarioDefinition) -> tuple[int, int]:
+    """The scenario's (M, K). A set ``config.dims`` is rejected: only dim_sweep runs it."""
+    if config.dims is not None:
+        raise ValueError("only dim_sweep runs config.dims; dims must be unset")
+    return definition.dims
+
+
 def run_scenario(config: RunConfig) -> list[MetricsRow]:
     """Sweep the scenario's SNR grid; both estimators on every trial.
 
@@ -327,7 +334,7 @@ def run_scenario(config: RunConfig) -> list[MetricsRow]:
     matrix is built once per run. Writes CSV when output_path is set.
     """
     definition = config.resolve_scenario()
-    m, k = definition.dims
+    m, k = _own_dims(config, definition)
     grid = config.lambda_grid or definition.lambda_grid
     return _sweep(config, definition, [(m, k, grid, "", (STREAM_TRIALS,))])
 
@@ -335,7 +342,7 @@ def run_scenario(config: RunConfig) -> list[MetricsRow]:
 def _first_trial(config: RunConfig) -> tuple[LinearModel, tuple[float, ...]]:
     """The model of trial 0 at the first point of run_scenario(config), and its grid."""
     definition = config.resolve_scenario()
-    m, k = definition.dims
+    m, k = _own_dims(config, definition)
     points = config.snr_points_db or definition.snr_points_db
     signal, noise = definition.specs_at(points[0])
     spectrum = _correlation_for(definition, m, config.master_seed)
@@ -354,16 +361,17 @@ def dim_sweep(config: RunConfig) -> list[MetricsRow]:
 
 
 def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
-    """Repeat the scenario sweep for each catalog penalty grid.
+    """Repeat the scenario sweep for each of the scenario's penalty grids.
 
-    A set ``lambda_grid`` is rejected: the run would not use it.
+    A set ``lambda_grid`` is rejected: the run would not use it. So is a
+    scenario without ``lambda_grids`` (catalog entry ``i`` has three).
     """
     if config.lambda_grid is not None:
         raise ValueError("lambda_sensitivity runs the catalog grids; lambda_grid must be unset")
     definition = config.resolve_scenario()
     if not definition.lambda_grids:
-        definition = scenario_catalog("i", seed=config.master_seed)
-    m, k = definition.dims
+        raise ValueError(f"scenario {definition.name!r} has no lambda_grids to compare")
+    m, k = _own_dims(config, definition)
     return _sweep(config, definition, [(m, k, grid, _grid_label(grid), (STREAM_SENSITIVITY, i))
                                        for i, grid in enumerate(definition.lambda_grids)])
 
@@ -371,31 +379,33 @@ def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
 def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]:
     """Compare the Monte-Carlo mean of the normalized cost to its prediction.
 
-    One design draw is held fixed; ``config.trials`` (x0, n) pairs are drawn
-    and the realized cost is averaged per penalty. Returns rows of
-    (lambda, mc_mean_phi, predicted, rel_error). A set ``snr_points_db`` is
-    rejected: the variances are the scenario's own.
+    One design draw is held fixed and factored once; ``config.trials`` (x0, n)
+    pairs are drawn and their realized costs (:func:`ridge_costs`) are
+    averaged per penalty. Returns rows of (lambda, mc_mean_phi, predicted,
+    rel_error). A set ``snr_points_db`` is rejected: the variances are the
+    scenario's own.
     """
     if config.snr_points_db is not None:
         raise ValueError("verify_theorem uses the scenario's variances; snr_points_db must be unset")
     definition = config.resolve_scenario()
-    m, k = definition.dims
+    m, k = _own_dims(config, definition)
     grid = config.lambda_grid or definition.lambda_grid
     spectrum = _correlation_for(definition, m, config.master_seed)
     if definition.swept is None:
         signal, noise = definition.signal, definition.noise
     else:
         signal, noise = definition.specs_at(definition.snr_points_db[0])
+    _check_dims(spectrum, m, k)
     wbar = derive_rng(config.master_seed, STREAM_FIXED_DESIGN).standard_normal((m, k))
     design = spectrum.sqrt_apply(wbar)
-    phi_sums = np.zeros(len(grid))
-    for draw in range(config.trials):
-        rng = derive_rng(config.master_seed, STREAM_THEOREM_DRAWS, draw)
-        truth = sample_truth(signal, noise, m, k, rng)
-        y = design @ truth.x0 + truth.n
-        model = LinearModel(design=design, raw_design=wbar, spectrum=spectrum, y=y)
-        for i, lam in enumerate(grid):
-            phi_sums[i] += ridge_solve(model, lam).phi
+
+    def observations():
+        for draw in range(config.trials):
+            rng = derive_rng(config.master_seed, STREAM_THEOREM_DRAWS, draw)
+            truth = sample_truth(signal, noise, m, k, rng)
+            yield design @ truth.x0 + truth.n
+
+    phi_sums = sum(costs.sum(axis=1) for costs in ridge_costs(design, observations(), grid))
     mc_means = phi_sums / config.trials
     rows = []
     for i, lam in enumerate(grid):
@@ -434,6 +444,8 @@ def _config_header(config: RunConfig) -> list[str]:
         parts.append("lambdas=" + _grid_label(config.lambda_grid))
     if config.snr_points_db:
         parts.append("snr_points_db=" + _grid_label(config.snr_points_db))
+    if config.dims:
+        parts.append("dims=" + ";".join(f"{m}x{k}" for m, k in config.dims))
     return [
         "# ridgesnr run",
         "# " + " ".join(parts),

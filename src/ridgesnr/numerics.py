@@ -3,7 +3,8 @@ and an exact two-variable nonnegative least-squares solver.
 
 The eigendecomposition and the SPD solve are thin validated fronts over
 LAPACK (via numpy/scipy); the NNLS solver is specialized to two unknowns and
-solved exactly by enumerating the four possible active sets.
+solved exactly, by one unconstrained fit or else by enumerating the four
+possible active sets.
 """
 
 from __future__ import annotations
@@ -82,11 +83,12 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
     """Minimize 0.5*||phi - Xi @ sigma||^2 subject to sigma >= 0, for Xi with 2 columns.
 
     Solved exactly: the optimum of this convex QP zeroes some subset of the
-    variables and solves unconstrained least squares over the rest, so
-    enumerating the four candidate active sets and keeping the feasible one
-    with the smallest objective is exhaustive. Rank-deficient subproblems fall
-    back to the minimum-norm solution; the all-zero candidate is always
-    feasible, so the solver never fails.
+    variables and solves unconstrained least squares over the rest. A
+    nonnegative unconstrained solution is therefore the optimum and is returned
+    at once; otherwise enumerating the four candidate active sets and keeping
+    the feasible one with the smallest objective is exhaustive. Rank-deficient
+    subproblems fall back to the minimum-norm solution; the all-zero candidate
+    is always feasible, so the solver never fails.
 
     Returns (sigma, residual_norm) with residual_norm = ||phi - Xi @ sigma||_2.
     """
@@ -102,6 +104,9 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(phi)):
         raise DimensionError("phi contains non-finite entries")
 
+    sigma, *_ = np.linalg.lstsq(xi, phi, rcond=None)
+    if np.all(sigma >= 0):
+        return sigma, float(np.linalg.norm(phi - xi @ sigma))
     best_sigma = None
     best_obj = np.inf
     for zeroed in product((False, True), repeat=2):

@@ -203,6 +203,8 @@ class TestCliRuns:
     @pytest.mark.parametrize("command, payload", [
         ("verify-theorem", {"snr_points_db": [5.0]}),
         ("lambda-sensitivity", {"lambda_grid": [0.5, 0.6]}),
+        ("verify-theorem", {"dims": [[16, 8]]}),
+        ("lambda-sensitivity", {"dims": [[16, 8]]}),
     ])
     def test_config_file_values_the_run_ignores_exit_config_error(self, tmp_path, capsys,
                                                                   command, payload):
@@ -217,6 +219,16 @@ class TestCliRuns:
         assert code == 0
         out = capsys.readouterr().out
         assert "31,30" in out and "30,35" in out and "10,7" in out
+
+    def test_dim_sweep_header_records_the_dims(self, tmp_path, capsys):
+        headers = []
+        for dims in ([], ["--dims", "16x8"]):
+            out = tmp_path / f"dims{len(dims)}.csv"
+            assert cli.main(["dim-sweep", "--trials", "2", "--snr-db", "10",
+                             "--out", str(out), *dims]) == 0
+            headers.append(out.read_text().splitlines()[1])
+        assert headers[1].endswith(" dims=16x8")
+        assert headers[0] != headers[1]
 
     def test_lambda_sensitivity_runs(self, capsys):
         code = cli.main(["lambda-sensitivity", "--trials", "2", "--snr-db", "10"])

@@ -15,11 +15,13 @@ from ridgesnr import (
     derive_rng,
     estimate_snr,
     ml_baseline,
+    ridge_costs,
     ridge_solve,
     sample_truth,
     solve_system,
     synthesize,
 )
+from ridgesnr.estimator import COST_BLOCK
 
 
 def identity_model(y: np.ndarray) -> LinearModel:
@@ -128,6 +130,58 @@ class TestRidgeSolve:
         left = w @ np.linalg.inv(w.T @ w + lam * np.eye(5))
         right = np.linalg.inv(w @ w.T + lam * np.eye(9)) @ w
         assert np.allclose(left, right, atol=1e-12)
+
+
+class TestRidgeCosts:
+    LAMBDAS = np.logspace(-3, 2, 20)
+
+    @staticmethod
+    def models(m: int, k: int, noise: float, count: int = 5) -> list[LinearModel]:
+        rng = np.random.default_rng(m * 1000 + k)
+        spec = CorrelationSpectrum.from_diagonal(rng.uniform(0.2, 1.5, m))
+        wbar = rng.standard_normal((m, k))
+        design = spec.sqrt_apply(wbar)
+        return [LinearModel(design=design, raw_design=wbar, spectrum=spec,
+                            y=design @ rng.standard_normal(k) + noise * rng.standard_normal(m))
+                for _ in range(count)]
+
+    # noise 1e-4 is high SNR, where ||y||^2 - ||U^T y||^2 would cancel
+    @pytest.mark.parametrize("noise", [1.0, 1e-4])
+    @pytest.mark.parametrize("m, k", [(300, 100), (60, 60), (30, 45)])
+    def test_matches_ridge_solve(self, m, k, noise):
+        models = self.models(m, k, noise)
+        (costs,) = ridge_costs(models[0].design, [model.y for model in models], self.LAMBDAS)
+        expected = np.array([[ridge_solve(model, lam).phi for model in models]
+                             for lam in self.LAMBDAS])
+        assert costs.shape == expected.shape
+        np.testing.assert_allclose(costs, expected, rtol=1e-10, atol=0)
+
+    def test_observations_are_stacked_in_bounded_blocks(self):
+        models = self.models(12, 6, 0.3, count=COST_BLOCK + 3)
+        blocks = list(ridge_costs(models[0].design, (model.y for model in models), (0.5, 2.0)))
+        assert [block.shape for block in blocks] == [(2, COST_BLOCK), (2, 3)]
+        assert blocks[1][1, 2] == pytest.approx(ridge_solve(models[-1], 2.0).phi, rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_rejects_nonpositive_lambda(self, lam):
+        model = random_model(6)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            next(ridge_costs(model.design, [model.y], (1.0, lam)))
+
+    def test_rejects_non_finite_inputs(self):
+        model = random_model(6)
+        bad_y = model.y.copy()
+        bad_y[0] = np.nan
+        with pytest.raises(DimensionError, match="observation"):
+            next(ridge_costs(model.design, [model.y, bad_y], (1.0,)))
+        bad_w = model.design.copy()
+        bad_w[0, 0] = np.inf
+        with pytest.raises(DimensionError, match="design"):
+            next(ridge_costs(bad_w, [model.y], (1.0,)))
+        with pytest.raises(DimensionError, match="rows"):
+            next(ridge_costs(model.design, [model.y[:-1]], (1.0,)))
+        with pytest.raises(DimensionError, match="rows"):
+            next(ridge_costs(model.design, model.y, (1.0,)))
 
 
 class TestAssembleSystem:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from ridgesnr import (
     RunConfig,
     ScenarioDefinition,
     dim_sweep,
+    estimator,
     lambda_sensitivity,
     run_scenario,
+    sample_truth,
+    scenario_catalog,
     verify_theorem,
 )
-from ridgesnr import estimator
-from ridgesnr.exceptions import RidgeSnrError
-from ridgesnr.harness import _aggregate, derive_rng
+from ridgesnr.exceptions import DimensionError, RidgeSnrError
+from ridgesnr.harness import (STREAM_FIXED_DESIGN, STREAM_THEOREM_DRAWS, _aggregate,
+                              _correlation_for, derive_rng)
 
 
 def small_config(tmp_path, parallelism=1, trials=24, dump=True, name="a"):
@@ -276,6 +280,40 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match="snr_points_db"):
             verify_theorem(config)
 
+    def test_more_draws_than_one_block_match_the_per_draw_sum(self):
+        # the per-draw reference: a LinearModel and a Cholesky ridge_solve per (draw, penalty)
+        defn = replace(scenario_catalog("fig1"), dims=(40, 20), lambda_grid=(1e-2, 1.0, 10.0))
+        config = RunConfig(scenario=defn, trials=estimator.COST_BLOCK + 3, master_seed=9)
+        rows = verify_theorem(config)
+        m, k = defn.dims
+        spectrum = _correlation_for(defn, m, config.master_seed)
+        wbar = derive_rng(config.master_seed, STREAM_FIXED_DESIGN).standard_normal((m, k))
+        design = spectrum.sqrt_apply(wbar)
+        sums = np.zeros(len(defn.lambda_grid))
+        for draw in range(config.trials):
+            truth = sample_truth(defn.signal, defn.noise, m, k,
+                                 derive_rng(config.master_seed, STREAM_THEOREM_DRAWS, draw))
+            model = estimator.LinearModel(design=design, raw_design=wbar, spectrum=spectrum,
+                                          y=design @ truth.x0 + truth.n)
+            sums += [estimator.ridge_solve(model, lam).phi for lam in defn.lambda_grid]
+        np.testing.assert_allclose([row[1] for row in rows], sums / config.trials,
+                                   rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5])
+    def test_rejects_a_nonpositive_penalty(self, lam):
+        config = RunConfig(scenario="fig1", trials=2, lambda_grid=(0.1, lam))
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            verify_theorem(config)
+
+    def test_non_finite_draw_raises_dimension_error(self, monkeypatch):
+        def nan_noise(*args):
+            truth = sample_truth(*args)
+            return replace(truth, n=np.full_like(truth.n, np.nan))
+
+        monkeypatch.setattr("ridgesnr.harness.sample_truth", nan_noise)
+        with pytest.raises(DimensionError, match="non-finite"):
+            verify_theorem(RunConfig(scenario="fig1", trials=2, master_seed=1))
+
 
 class TestDimSweep:
     def test_runs_each_dimension(self, tmp_path):
@@ -291,6 +329,25 @@ class TestDimSweep:
                            snr_points_db=(10.0,), dims=((16, 8),))
         rows = dim_sweep(config)
         assert {(r.m, r.k) for r in rows} == {(16, 8)}
+
+    def test_header_records_the_dims_that_ran(self, tmp_path):
+        headers = {}
+        for dims in (None, ((16, 8), (20, 10))):
+            out = tmp_path / f"dims_{len(dims or ())}.csv"
+            dim_sweep(RunConfig(scenario="h", trials=2, master_seed=6, snr_points_db=(10.0,),
+                                dims=dims, output_path=str(out)))
+            headers[dims] = out.read_text().splitlines()[1]
+        assert headers[None] == "# scenario=h trials=2 seed=6 snr_points_db=10"
+        assert headers[((16, 8), (20, 10))] == headers[None] + " dims=16x8;20x10"
+
+    @pytest.mark.parametrize("runner, scenario", [
+        (run_scenario, "a"), (verify_theorem, "fig1"), (lambda_sensitivity, "i")])
+    def test_other_runs_reject_dims_they_would_not_run(self, tmp_path, runner, scenario):
+        out = tmp_path / "run.csv"
+        config = RunConfig(scenario=scenario, trials=2, dims=((16, 8),), output_path=str(out))
+        with pytest.raises(ValueError, match="dims"):
+            runner(config)
+        assert not out.exists()
 
     def test_small_dims_comparative_behavior(self):
         # 10x7 stays ahead of the baseline even where both are poor; 40x20
@@ -320,6 +377,14 @@ class TestLambdaSensitivity:
         config = RunConfig(scenario="i", trials=2, lambda_grid=(0.5, 0.6))
         with pytest.raises(ValueError, match="lambda_grid"):
             lambda_sensitivity(config)
+
+    def test_rejects_a_scenario_without_grids(self, tmp_path):
+        # the default scenario a has no lambda_grids; it must not run another scenario's
+        out = tmp_path / "grids.csv"
+        config = RunConfig(trials=1, snr_points_db=(10.0,), output_path=str(out))
+        with pytest.raises(ValueError, match="lambda_grids"):
+            lambda_sensitivity(config)
+        assert not out.exists()
 
 
 # sha256 of the metrics and per-trial CSVs at trials=4, seed=3, one SNR point.
