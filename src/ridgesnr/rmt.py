@@ -15,11 +15,14 @@ where the coefficients are spectral functionals of Psi:
     xi2           = M/K - t * tr_psi_t / (K (1 + t delta)).
 
 Everything is evaluated in the eigenbasis of Psi, so no M x M resolvent is
-ever materialized.
+ever materialized. ``solve_delta`` runs plain Picard iteration for up to
+``PICARD_STEPS`` steps and, where the map contracts slowly (square systems at
+small penalties), finishes with Newton's method from the last Picard iterate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +42,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+# Picard steps before the Newton finish; a root Picard reaches within them is
+# returned exactly as plain Picard iteration would return it.
+PICARD_STEPS = 100
 # Eigenvalues of a nominally PSD correlation matrix may go slightly negative
 # from round-off; below this relative threshold they are floored, beyond it
 # the matrix is treated as genuinely indefinite.
@@ -139,7 +145,10 @@ class CorrelationSpectrum:
 
 @dataclass(frozen=True)
 class DeterministicEquivalents:
-    """Per-lambda bundle of deterministic quantities consumed by the estimator."""
+    """Per-lambda bundle of deterministic quantities consumed by the estimator.
+
+    ``fixed_point_iters`` counts the Picard and Newton steps of ``solve_delta``.
+    """
 
     lam: float
     t: float
@@ -157,12 +166,25 @@ def _fixed_point_map(q: np.ndarray, K: int, t: float, delta: float) -> float:
 
 def solve_delta(spectrum: CorrelationSpectrum, K: int, t: float,
                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, int]:
-    """Solve the scalar fixed point delta = (1/K) sum_i q_i / (1 + t q_i / (1 + t delta)).
+    """Solve the scalar fixed point delta = F(delta) = (1/K) sum_i q_i / (1 + c q_i),
+    c = t / (1 + t delta).
 
-    Plain Picard iteration started from the upper bound delta_0 = tr(Q)/K;
-    the map is increasing in delta so the iterates decrease monotonically to
-    the unique positive root. Returns (delta, iterations); the returned value
-    satisfies |delta - F(delta)| <= tol * max(delta, 1).
+    Plain Picard iteration starts from the upper bound delta_0 = tr(Q)/K; F is
+    increasing and concave, so the iterates decrease monotonically to the
+    unique positive root. Where Picard has not converged within
+    ``PICARD_STEPS`` steps (its rate nears 1 on square systems), Newton's
+    method on the convex g(d) = d - F(d), with
+    g'(d) = 1 - c^2 sum_i q_i^2 / (1 + c q_i)^2 / K, descends from the last
+    Picard iterate onto the root; a step that rounding sends outside the
+    bracket [0, last Picard iterate] is replaced by bisection. g is evaluated
+    as d B - (1 - B) / t with B = (K - M + sum_i 1 / (1 + c q_i)) / K, which
+    near M = K is a sum of positive terms, where d - F(d) cancels and would
+    leave the root off by up to 1e-12 relative. Newton stops once its step
+    is at most ``tol * max(delta, 1)`` and returns delta minus that step.
+
+    ``max_iter`` bounds the Picard and Newton steps together. Returns
+    (delta, steps taken); the returned value satisfies
+    |delta - F(delta)| <= tol * max(delta, 1).
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -170,11 +192,26 @@ def solve_delta(spectrum: CorrelationSpectrum, K: int, t: float,
         raise ValueError(f"K must be at least 1, got {K}")
     q = spectrum.eigenvalues
     delta = float(q.sum()) / K
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, min(max_iter, PICARD_STEPS) + 1):
         nxt = _fixed_point_map(q, K, t, delta)
         if abs(nxt - delta) <= tol * max(nxt, 1.0):
             return nxt, iteration
         delta = nxt
+    lo, hi = 0.0, delta
+    for iteration in range(PICARD_STEPS + 1, max_iter + 1):
+        c = t / (1.0 + t * delta)
+        u = 1.0 / (1.0 + c * q)
+        b = (K - q.size + float(np.sum(u))) / K
+        gap = delta * b - (1.0 - b) / t
+        if gap > 0:
+            hi = delta
+        else:
+            lo = delta
+        slope = 1.0 - c * c * float(np.sum((q * u) ** 2)) / K
+        step = gap / slope if slope > 0 else math.inf
+        if abs(step) <= tol * max(delta, 1.0):
+            return delta - step, iteration
+        delta = delta - step if lo < delta - step < hi else 0.5 * (lo + hi)
     residual = abs(_fixed_point_map(q, K, t, delta) - delta)
     raise ConvergenceError(
         f"fixed point did not converge in {max_iter} iterations (t={t:g}, residual={residual:.3e})",

@@ -51,6 +51,26 @@ class TestDataIO:
         with pytest.raises(DataFormatError, match=r"bad\.csv:2:2"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,2.0\n3.0,,4.0\n", "2:2: empty cell"),
+        ("1.0, \t,4.0\n", "1:2: empty cell"),
+        ("1.0,2.0\n3.0, oops \n", "2:2: not a number: 'oops'"),
+        ("# header\n\n1.0,2.0e\n", "3:2: not a number: '2.0e'"),
+    ])
+    def test_parse_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"{path}:{message}"
+
+    def test_whitespace_padded_cells_parse(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text(" 1.5 ,\t-2.25\n  3e-1,4 \n")
+        assert np.array_equal(read_matrix(path), np.array([[1.5, -2.25], [0.3, 4.0]]))
+        path.write_text("diag: 0.5 , 2\n")
+        assert np.array_equal(read_correlation(path).eigenvalues, [0.5, 2.0])
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("1.0,2.0\n3.0\n")

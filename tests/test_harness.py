@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ridgesnr import (
     CorrelationSpec,
@@ -18,9 +19,9 @@ from ridgesnr import (
     scenario_catalog,
     verify_theorem,
 )
-from ridgesnr.exceptions import DimensionError, RidgeSnrError
+from ridgesnr.exceptions import ConvergenceError, DimensionError, RidgeSnrError
 from ridgesnr.harness import (STREAM_FIXED_DESIGN, STREAM_THEOREM_DRAWS, _aggregate,
-                              _correlation_for, derive_rng)
+                              _correlation_for, derive_rng, estimate_from_files)
 
 
 def small_config(tmp_path, parallelism=1, trials=24, dump=True, name="a"):
@@ -171,18 +172,23 @@ class TestFailedTrials:
             assert len(failed) == row.trials_failed
         assert all(r.trials_failed == 6 for r in rows if r.method == "proposed")
 
-    def test_plan_build_failure_fails_proposed_once_per_block(self, caplog):
-        # a square system at penalties near zero exhausts the fixed-point
-        # iteration budget, so the block's estimator plan cannot be built
-        defn = ScenarioDefinition(
-            name="square-tiny-lambda", description="M = K at lambda ~ 1e-6",
-            correlation=CorrelationSpec(kind="identity", dim=30),
-            signal=DistributionSpec.gaussian(1.0),
-            noise=DistributionSpec.gaussian(0.1),
-            swept="signal", dims=(30, 30), lambda_grid=(1e-6, 2e-6, 3e-6, 4e-6),
-            snr_points_db=(10.0,),
-        )
-        config = RunConfig(scenario=defn, trials=3, master_seed=8, parallelism=1)
+    SQUARE_TINY_LAMBDA = ScenarioDefinition(
+        name="square-tiny-lambda", description="M = K at lambda ~ 1e-6",
+        correlation=CorrelationSpec(kind="identity", dim=30),
+        signal=DistributionSpec.gaussian(1.0),
+        noise=DistributionSpec.gaussian(0.1),
+        swept="signal", dims=(30, 30), lambda_grid=(1e-6, 2e-6, 3e-6, 4e-6),
+        snr_points_db=(10.0,),
+    )
+
+    def test_plan_build_failure_fails_proposed_once_per_block(self, monkeypatch, caplog):
+        # the block's estimator plan cannot be built when the fixed point fails
+        def fail(*args):
+            raise ConvergenceError("fixed point did not converge")
+
+        monkeypatch.setattr("ridgesnr.estimator.coefficients", fail)
+        config = RunConfig(scenario=self.SQUARE_TINY_LAMBDA, trials=3, master_seed=8,
+                           parallelism=1)
         with caplog.at_level("WARNING", logger="ridgesnr.harness"):
             rows = {r.method: r for r in run_scenario(config)}
         assert rows["proposed"].trials_failed == 3
@@ -190,6 +196,18 @@ class TestFailedTrials:
         assert math.isfinite(rows["ml"].mean_est_db)
         assert len(caplog.records) == 1
         assert "plan" in caplog.records[0].message
+
+    def test_square_system_at_tiny_penalties_builds_its_plan(self, caplog):
+        # Picard alone ran out of its 10,000-step budget here; the Newton
+        # finish converges, so neither method fails
+        config = RunConfig(scenario=self.SQUARE_TINY_LAMBDA, trials=3, master_seed=8,
+                           parallelism=1)
+        with caplog.at_level("WARNING", logger="ridgesnr.harness"):
+            rows = run_scenario(config)
+        assert not caplog.records
+        for row in rows:
+            assert row.trials_failed == 0
+            assert math.isfinite(row.mean_est_db)
 
     def test_zero_columns_fail_every_trial_without_aborting(self):
         # the plan rejects K = 0 as the model does, before the fixed point
@@ -385,6 +403,66 @@ class TestLambdaSensitivity:
         with pytest.raises(ValueError, match="lambda_grids"):
             lambda_sensitivity(config)
         assert not out.exists()
+
+
+def reference_estimate(psi, wbar, y, grid) -> np.ndarray:
+    """(sigma_x2_hat, sigma_n2_hat) computed without the package.
+
+    The fixed point is bracketed and solved by brentq, each ridge cost comes
+    from one SVD of the design, and the 2-variable nonnegative least squares
+    tries every support.
+    """
+    m, k = wbar.shape
+    q, basis = np.linalg.eigh(psi)
+    q = np.clip(q, 0.0, None)
+    u, s, _ = np.linalg.svd((basis * np.sqrt(q)) @ basis.T @ wbar, full_matrices=False)
+    coords = u.T @ y
+    outside = max(float(y @ y - coords @ coords), 0.0)
+    xi, phi = [], []
+    for lam in grid:
+        t = k / lam
+        delta = brentq(lambda d: d - np.sum(q / (1.0 + q * t / (1.0 + t * d))) / k,
+                       0.0, q.sum() / k, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        denom = 1.0 + t * delta
+        xi.append((k * delta / denom, m / k - t * delta / denom))
+        phi.append(lam / k * (np.sum(coords ** 2 / (s ** 2 + lam)) + outside / lam))
+    xi, phi = np.array(xi), np.array(phi)
+    best, best_obj = np.zeros(2), float(phi @ phi)
+    for support in ([0, 1], [0], [1]):
+        sigma = np.zeros(2)
+        sigma[support] = np.linalg.lstsq(xi[:, support], phi, rcond=None)[0]
+        obj = float(np.sum((phi - xi @ sigma) ** 2))
+        if np.all(sigma >= 0) and obj < best_obj:
+            best, best_obj = sigma, obj
+    return best
+
+
+class TestEstimateFromFiles:
+    """Square requests read from CSV files agree with an independent reference."""
+
+    @pytest.mark.parametrize("grid", [(1e-6, 2e-6, 3e-6, 4e-6), (1e-3, 2e-3, 3e-3, 4e-3)],
+                             ids=["1e-6", "default"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_square_request_matches_the_reference(self, tmp_path, seed, grid):
+        m = 60
+        rng = np.random.default_rng([seed, m])
+        offsets = np.arange(m, dtype=float)
+        psi = rng.uniform(0.2, 0.6) ** ((offsets[:, None] - offsets[None, :]) ** 2)
+        q, basis = np.linalg.eigh(psi)
+        root = (basis * np.sqrt(np.clip(q, 0.0, None))) @ basis.T
+        sigma_x2 = rng.uniform(0.5, 2.0)
+        sigma_n2 = sigma_x2 * 10.0 ** (-rng.uniform(0.0, 20.0) / 10.0)
+        wbar = rng.standard_normal((m, m))
+        y = (root @ wbar @ rng.normal(0.0, math.sqrt(sigma_x2), m)
+             + rng.normal(0.0, math.sqrt(sigma_n2), m))
+        paths = [tmp_path / name for name in ("y.csv", "wbar.csv", "psi.csv")]
+        for path, data in zip(paths, (y[:, None], wbar, psi)):
+            np.savetxt(path, data, fmt="%.17g", delimiter=",")
+        estimate, _ = estimate_from_files(*paths, grid)
+        reference = reference_estimate(psi, wbar, y, grid)
+        sigma = np.array([estimate.sigma_x2_hat, estimate.sigma_n2_hat])
+        assert np.all(np.isfinite(sigma))
+        assert np.max(np.abs(sigma - reference)) <= 1e-5 * np.sum(reference)
 
 
 # sha256 of the metrics and per-trial CSVs at trials=4, seed=3, one SNR point.

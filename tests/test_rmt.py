@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,10 @@ from ridgesnr import (
     solve_delta,
     trace_psi_t,
 )
+from ridgesnr.rmt import PICARD_STEPS
+
+DEFAULT_GRID = (1e-3, 2e-3, 3e-3, 4e-3)
+TINY_GRID = (1e-6, 2e-6, 3e-6, 4e-6)
 
 
 def closed_form_delta(t: float) -> float:
@@ -42,6 +47,36 @@ def bisection_delta(q: np.ndarray, k: int, t: float, tol: float = 1e-14) -> floa
         if hi - lo < tol * max(hi, 1.0):
             break
     return 0.5 * (lo + hi)
+
+
+def mpmath_delta(q: np.ndarray, k: int, t: float) -> float:
+    """Independent oracle: the root of d - F(d) in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        qs = [mpmath.mpf(float(v)) for v in q]
+        tt = mpmath.mpf(t)
+
+        def gap(d):
+            c = tt / (1 + tt * d)
+            return d - mpmath.fsum(v / (1 + c * v) for v in qs) / k
+
+        return float(mpmath.findroot(gap, (mpmath.mpf(0), mpmath.fsum(qs) / k),
+                                     solver="anderson"))
+
+
+def picard_delta(q: np.ndarray, k: int, t: float, tol: float = 1e-12) -> tuple[float, int]:
+    """Plain Picard iteration from tr(Q)/k, the fixed point's first phase written out."""
+    delta = float(q.sum()) / k
+    for iteration in range(1, PICARD_STEPS + 1):
+        nxt = fixed_point_map(q, k, t, delta)
+        if abs(nxt - delta) <= tol * max(nxt, 1.0):
+            return nxt, iteration
+        delta = nxt
+    raise AssertionError(f"Picard did not converge within {PICARD_STEPS} steps")
+
+
+def exponential_spectrum(m: int, rho: float = 0.4) -> CorrelationSpectrum:
+    offsets = np.arange(m, dtype=float)
+    return CorrelationSpectrum.from_matrix(rho ** ((offsets[:, None] - offsets[None, :]) ** 2))
 
 
 def random_spectrum(rng) -> tuple[CorrelationSpectrum, int]:
@@ -119,6 +154,65 @@ class TestSolveDelta:
         spec = CorrelationSpectrum.from_diagonal(np.ones(4))
         with pytest.raises(ValueError):
             solve_delta(spec, 4, 0.0)
+
+
+class TestSquareSystems:
+    """M = K, where Picard contracts at a rate near 1 and Newton finishes."""
+
+    SPECTRA = {
+        "identity": lambda m: CorrelationSpectrum.from_diagonal(np.ones(m)),
+        "exponential": exponential_spectrum,
+    }
+
+    @pytest.mark.parametrize("grid", [TINY_GRID, DEFAULT_GRID], ids=["1e-6", "default"])
+    @pytest.mark.parametrize("m", [30, 40, 80])
+    @pytest.mark.parametrize("psi", sorted(SPECTRA))
+    def test_converges_to_the_root(self, psi, m, grid):
+        spec = self.SPECTRA[psi](m)
+        for lam in grid:
+            coeff = coefficients(spec, m, m, lam)
+            assert coeff.fixed_point_iters <= PICARD_STEPS + 30
+            oracle = mpmath_delta(spec.eigenvalues, m, coeff.t)
+            assert coeff.delta == pytest.approx(oracle, rel=1e-13, abs=0.0)
+            resid = abs(coeff.delta - fixed_point_map(spec.eigenvalues, m, coeff.t, coeff.delta))
+            assert resid <= 1e-12 * max(coeff.delta, 1.0)
+
+    @pytest.mark.parametrize("grid", [TINY_GRID, DEFAULT_GRID], ids=["1e-6", "default"])
+    def test_rank_deficient_psi_with_rank_k(self, grid):
+        # rank(Psi) = K makes a tall system behave as a square one
+        m, k = 60, 40
+        b = np.random.default_rng(13).standard_normal((m, k))
+        spec = CorrelationSpectrum.from_matrix(b @ b.T / m)
+        for lam in grid:
+            delta, iters = solve_delta(spec, k, k / lam)
+            assert iters <= PICARD_STEPS + 30
+            assert delta == pytest.approx(mpmath_delta(spec.eigenvalues, k, k / lam), rel=1e-12)
+
+    def test_newton_phase_keeps_the_residual_contract(self):
+        spec = exponential_spectrum(60)
+        for tol in (1e-12, 1e-9, 1e-6):
+            delta, iters = solve_delta(spec, 60, 60 / 1e-6, tol=tol)
+            assert iters > PICARD_STEPS
+            resid = abs(delta - fixed_point_map(spec.eigenvalues, 60, 60 / 1e-6, delta))
+            assert resid <= tol * max(delta, 1.0)
+
+    def test_max_iter_bounds_both_phases(self):
+        spec = CorrelationSpectrum.from_diagonal(np.ones(30))
+        _, iters = solve_delta(spec, 30, 30 / 1e-6)
+        assert iters > PICARD_STEPS + 1
+        with pytest.raises(ConvergenceError) as err:
+            solve_delta(spec, 30, 30 / 1e-6, max_iter=PICARD_STEPS + 1)
+        assert err.value.last_iterate > closed_form_delta(30 / 1e-6)
+
+    def test_picard_result_is_returned_unchanged(self):
+        rng = np.random.default_rng(14)
+        q = rng.uniform(0.0, 2.0, 80)
+        spec = CorrelationSpectrum.from_diagonal(q)
+        for lam in (1e-6, *DEFAULT_GRID, 1.0):
+            t = 40 / lam
+            delta, iters = solve_delta(spec, 40, t)
+            assert (delta, iters) == picard_delta(q, 40, t)
+            assert iters <= PICARD_STEPS
 
 
 class TestTraceFunctional:
