@@ -41,7 +41,9 @@ from .rmt import (
     DeterministicEquivalents,
     alpha,
     coefficients,
+    coefficients_grid,
     solve_delta,
+    solve_delta_grid,
     trace_psi_t,
 )
 from .scenarios import (
@@ -68,7 +70,7 @@ __all__ = [
     "verify_theorem",
     "EigenPair", "bessel_j0", "nnls_2var", "spd_solve", "sym_eig",
     "CorrelationSpectrum", "DeterministicEquivalents", "alpha",
-    "coefficients", "solve_delta", "trace_psi_t",
+    "coefficients", "coefficients_grid", "solve_delta", "solve_delta_grid", "trace_psi_t",
     "CorrelationSpec", "DistributionSpec", "GroundTruth",
     "ScenarioDefinition", "build_correlation", "sample_truth",
     "scenario_catalog", "synthesize",

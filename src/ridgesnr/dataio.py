@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import LinearModel, SnrEstimate
+from .estimator import LinearModel, SnrEstimate, _check_dims
 from .exceptions import DataFormatError, DimensionError
 from .rmt import CorrelationSpectrum
 
@@ -29,13 +29,8 @@ __all__ = [
 
 
 def format_float(x: float) -> str:
-    """12-significant-digit text form; round-trips aggregates within rounding."""
-    if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
+    """12-significant-digit text form (nan, inf, -inf as such); round-trips
+    aggregates within rounding."""
     return f"{x:.12g}"
 
 
@@ -140,10 +135,7 @@ def load_model(y_path: str | Path, wbar_path: str | Path,
         raise DimensionError(
             f"design has {wbar.shape[0]} rows but observation has {y.size} entries"
         )
-    if spectrum.dim != wbar.shape[0]:
-        raise DimensionError(
-            f"correlation dim {spectrum.dim} != design rows {wbar.shape[0]}"
-        )
+    _check_dims(spectrum, *wbar.shape)  # sqrt_apply needs the dims to agree
     design = spectrum.sqrt_apply(wbar)
     return LinearModel(design=design, raw_design=wbar, spectrum=spectrum, y=y)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .numerics import nnls_2var, spd_solve
-from .rmt import CorrelationSpectrum, coefficients
+from .rmt import CorrelationSpectrum, coefficients_grid
 
 __all__ = [
     "LinearModel",
@@ -212,7 +212,7 @@ def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
 def _validated_grid(lambdas) -> np.ndarray:
     grid = np.array(lambdas, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
-        raise DimensionError("need at least 2 penalty values")
+        raise ValueError("need at least 2 penalty values")
     if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
         raise ValueError("penalty values must be positive and finite")
     if np.unique(grid).size != grid.size:
@@ -225,11 +225,11 @@ class EstimatorPlan:
     """The observation-independent half of the estimator for one (Psi, M, K, grid).
 
     The coefficients (xi1, xi2) at each penalty depend only on the spectrum,
-    the dimensions and the penalty, so they are computed once here; every
-    observation drawn with this spectrum and these dimensions then costs only
-    its ridge solves and the 2-variable NNLS. ``lambdas`` is stored as the
-    validated grid; it and ``xi`` are read-only because every system the plan
-    assembles shares them.
+    the dimensions and the penalty, so they are computed once here, in one
+    fixed-point solve for the whole grid; every observation drawn with this
+    spectrum and these dimensions then costs only its ridge solves and the
+    2-variable NNLS. ``lambdas`` is stored as the validated grid; it and ``xi``
+    are read-only because every system the plan assembles shares them.
     """
 
     spectrum: CorrelationSpectrum
@@ -242,7 +242,7 @@ class EstimatorPlan:
     def __post_init__(self):
         _check_dims(self.spectrum, self.m, self.k)
         grid = _validated_grid(self.lambdas)
-        equivs = tuple(coefficients(self.spectrum, self.m, self.k, lam) for lam in grid)
+        equivs = coefficients_grid(self.spectrum, self.m, self.k, grid)
         xi = np.array([[e.xi1, e.xi2] for e in equivs])
         grid.flags.writeable = xi.flags.writeable = False
         object.__setattr__(self, "lambdas", grid)

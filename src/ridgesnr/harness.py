@@ -32,7 +32,7 @@ from . import dataio
 from .estimator import (EstimatorPlan, LinearModel, _check_dims, _snr_fields, estimate_snr,
                         ml_baseline, ridge_costs)
 from .exceptions import RidgeSnrError
-from .rmt import CorrelationSpectrum, alpha, coefficients
+from .rmt import CorrelationSpectrum, alpha, coefficients_grid
 from .scenarios import (
     ScenarioDefinition,
     build_correlation,
@@ -406,13 +406,12 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
             yield design @ truth.x0 + truth.n
 
     phi_sums = sum(costs.sum(axis=1) for costs in ridge_costs(design, observations(), grid))
-    mc_means = phi_sums / config.trials
     rows = []
-    for i, lam in enumerate(grid):
-        coeff = coefficients(spectrum, m, k, lam)
+    for lam, mc, coeff in zip(grid, phi_sums / config.trials,
+                              coefficients_grid(spectrum, m, k, grid)):
         predicted = alpha(coeff, signal.implied_variance, noise.implied_variance)
-        rel = abs(mc_means[i] - predicted) / predicted if predicted != 0 else abs(mc_means[i])
-        rows.append((float(lam), float(mc_means[i]), float(predicted), float(rel)))
+        rel = abs(mc - predicted) / predicted if predicted != 0 else abs(mc)
+        rows.append((float(lam), float(mc), float(predicted), float(rel)))
     if config.output_path:
         write_theorem_csv(config.output_path, config, rows)
     return rows

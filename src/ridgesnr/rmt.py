@@ -15,9 +15,11 @@ where the coefficients are spectral functionals of Psi:
     xi2           = M/K - t * tr_psi_t / (K (1 + t delta)).
 
 Everything is evaluated in the eigenbasis of Psi, so no M x M resolvent is
-ever materialized. ``solve_delta`` runs plain Picard iteration for up to
-``PICARD_STEPS`` steps and, where the map contracts slowly (square systems at
-small penalties), finishes with Newton's method from the last Picard iterate.
+ever materialized. ``solve_delta_grid`` solves a whole penalty grid together,
+one row of a (penalties x eigenvalues) array per penalty: Picard iteration for
+up to ``PICARD_STEPS`` steps, then Newton's method where the map contracts
+slowly (square systems at small penalties). ``solve_delta`` and
+``coefficients`` run the grid path on a grid of one.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ from .exceptions import ConvergenceError, DefinitenessError, DimensionError
 from .numerics import sym_eig
 
 __all__ = [
-    "CorrelationSpectrum",
-    "DeterministicEquivalents",
-    "solve_delta",
-    "trace_psi_t",
-    "coefficients",
-    "alpha",
+    "CorrelationSpectrum", "DeterministicEquivalents", "solve_delta", "solve_delta_grid",
+    "trace_psi_t", "coefficients", "coefficients_grid", "alpha",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -145,10 +143,8 @@ class CorrelationSpectrum:
 
 @dataclass(frozen=True)
 class DeterministicEquivalents:
-    """Per-lambda bundle of deterministic quantities consumed by the estimator.
-
-    ``fixed_point_iters`` counts the Picard and Newton steps of ``solve_delta``.
-    """
+    """Per-lambda bundle of deterministic quantities consumed by the estimator;
+    ``fixed_point_iters`` counts the Picard and Newton steps of its fixed point."""
 
     lam: float
     t: float
@@ -159,65 +155,77 @@ class DeterministicEquivalents:
     fixed_point_iters: int
 
 
-def _fixed_point_map(q: np.ndarray, K: int, t: float, delta: float) -> float:
+def _psi_t(q: np.ndarray, t, delta):
+    """sum_i q_i / (1 + c q_i), c = t / (1 + t delta), per (t, delta) pair; each sum
+    runs along a contiguous last axis, so it has the bits of a 1-D sum."""
     c = t / (1.0 + t * delta)
-    return float(np.sum(q / (1.0 + c * q)) / K)
+    return (q / (1.0 + np.multiply.outer(c, q))).sum(axis=-1)
+
+
+def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEFAULT_TOL,
+                     max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
+    """Solve delta = F(delta) = (1/K) sum_i q_i / (1 + c q_i), c = t / (1 + t delta),
+    at every t of the 1-D grid ``ts`` together.
+
+    Picard iteration starts from the upper bound tr(Q)/K; F is increasing and
+    concave, so the iterates decrease to the unique positive root, and each t
+    keeps its first iterate with |F(delta) - delta| <= tol * max(F(delta), 1).
+    The t still open after ``PICARD_STEPS`` steps (Picard's rate nears 1 on
+    square systems) finish with Newton on the convex g(d) = d - F(d), from the
+    last Picard iterate, bisecting a step that leaves the t's bracket [lo, hi]
+    (first [0, last iterate]); a step of at most tol * max(delta, 1) ends with
+    delta minus that step. g is evaluated as d B - (1 - B) / t, B = (K - M +
+    sum_i 1 / (1 + c q_i)) / K, a sum of positive terms near M = K, where
+    d - F(d) cancels and would leave the root up to 1e-12 relative off.
+
+    ``max_iter`` bounds both phases together; ConvergenceError names the first
+    t that uses it up. Returns arrays (delta, steps taken) over ``ts``, with
+    |delta - F(delta)| <= tol * max(delta, 1).
+    """
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts <= 0):
+        raise ValueError(f"t must be positive, got {ts[ts <= 0][0]}")
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    q = spectrum.eigenvalues
+    delta = hi = np.full(ts.size, float(q.sum()) / K)
+    deltas, steps = delta.copy(), np.zeros(ts.size, dtype=int)
+    todo, t, lo = np.arange(ts.size), ts, np.zeros(ts.size)
+    for iteration in range(1, max_iter + 1):
+        if not todo.size:
+            break
+        if iteration <= PICARD_STEPS:
+            # the iterates decrease, so the last bounds Newton's bracket above
+            nxt = hi = _psi_t(q, t, delta) / K
+            done = np.abs(nxt - delta) <= tol * np.maximum(nxt, 1.0)
+        else:
+            c = t / (1.0 + t * delta)
+            u = 1.0 / (1.0 + np.multiply.outer(c, q))
+            b = (K - q.size + np.sum(u, axis=1)) / K
+            gap = delta * b - (1.0 - b) / t
+            hi, lo = np.where(gap > 0, delta, hi), np.where(gap > 0, lo, delta)
+            slope = 1.0 - c * c * np.sum((q * u) ** 2, axis=1) / K
+            step = np.divide(gap, slope, out=np.full(todo.size, math.inf), where=slope > 0)
+            nxt = delta - step
+            done = np.abs(step) <= tol * np.maximum(delta, 1.0)
+            nxt = np.where(done | ((lo < nxt) & (nxt < hi)), nxt, 0.5 * (lo + hi))
+        if done.any():  # retire the converged t
+            deltas[todo[done]], steps[todo[done]] = nxt[done], iteration
+            todo, t, nxt, lo, hi = (a[~done] for a in (todo, t, nxt, lo, hi))
+        delta = nxt
+    if todo.size:
+        t, last = ts[todo[0]], delta[0]
+        residual = float(abs(_psi_t(q, t, last) / K - last))
+        raise ConvergenceError(f"fixed point did not converge in {max_iter} iterations "
+                               f"(lambda={K / t:g}, t={t:g}, residual={residual:.3e})",
+                               last_iterate=float(last), residual=residual)
+    return deltas, steps
 
 
 def solve_delta(spectrum: CorrelationSpectrum, K: int, t: float,
                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, int]:
-    """Solve the scalar fixed point delta = F(delta) = (1/K) sum_i q_i / (1 + c q_i),
-    c = t / (1 + t delta).
-
-    Plain Picard iteration starts from the upper bound delta_0 = tr(Q)/K; F is
-    increasing and concave, so the iterates decrease monotonically to the
-    unique positive root. Where Picard has not converged within
-    ``PICARD_STEPS`` steps (its rate nears 1 on square systems), Newton's
-    method on the convex g(d) = d - F(d), with
-    g'(d) = 1 - c^2 sum_i q_i^2 / (1 + c q_i)^2 / K, descends from the last
-    Picard iterate onto the root; a step that rounding sends outside the
-    bracket [0, last Picard iterate] is replaced by bisection. g is evaluated
-    as d B - (1 - B) / t with B = (K - M + sum_i 1 / (1 + c q_i)) / K, which
-    near M = K is a sum of positive terms, where d - F(d) cancels and would
-    leave the root off by up to 1e-12 relative. Newton stops once its step
-    is at most ``tol * max(delta, 1)`` and returns delta minus that step.
-
-    ``max_iter`` bounds the Picard and Newton steps together. Returns
-    (delta, steps taken); the returned value satisfies
-    |delta - F(delta)| <= tol * max(delta, 1).
-    """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if K < 1:
-        raise ValueError(f"K must be at least 1, got {K}")
-    q = spectrum.eigenvalues
-    delta = float(q.sum()) / K
-    for iteration in range(1, min(max_iter, PICARD_STEPS) + 1):
-        nxt = _fixed_point_map(q, K, t, delta)
-        if abs(nxt - delta) <= tol * max(nxt, 1.0):
-            return nxt, iteration
-        delta = nxt
-    lo, hi = 0.0, delta
-    for iteration in range(PICARD_STEPS + 1, max_iter + 1):
-        c = t / (1.0 + t * delta)
-        u = 1.0 / (1.0 + c * q)
-        b = (K - q.size + float(np.sum(u))) / K
-        gap = delta * b - (1.0 - b) / t
-        if gap > 0:
-            hi = delta
-        else:
-            lo = delta
-        slope = 1.0 - c * c * float(np.sum((q * u) ** 2)) / K
-        step = gap / slope if slope > 0 else math.inf
-        if abs(step) <= tol * max(delta, 1.0):
-            return delta - step, iteration
-        delta = delta - step if lo < delta - step < hi else 0.5 * (lo + hi)
-    residual = abs(_fixed_point_map(q, K, t, delta) - delta)
-    raise ConvergenceError(
-        f"fixed point did not converge in {max_iter} iterations (t={t:g}, residual={residual:.3e})",
-        last_iterate=delta,
-        residual=residual,
-    )
+    """(delta, steps taken) at one t: :func:`solve_delta_grid` on the grid [t]."""
+    return tuple(a.item() for a in solve_delta_grid(spectrum, K, [t], tol, max_iter))
 
 
 def trace_psi_t(spectrum: CorrelationSpectrum, t: float, delta: float) -> float:
@@ -226,29 +234,28 @@ def trace_psi_t(spectrum: CorrelationSpectrum, t: float, delta: float) -> float:
     For t = 0 this is tr(Psi); for delta solving the fixed point at t it
     equals K * delta identically, which downstream code uses as a self-check.
     """
-    if t == 0:
-        return spectrum.trace
-    c = t / (1.0 + t * delta)
-    q = spectrum.eigenvalues
-    return float(np.sum(q / (1.0 + c * q)))
+    return spectrum.trace if t == 0 else float(_psi_t(spectrum.eigenvalues, t, delta))
+
+
+def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,
+                      lambdas) -> tuple[DeterministicEquivalents, ...]:
+    """Coefficients (xi1, xi2) of the predicted cost at every penalty of ``lambdas``."""
+    lams = np.asarray(lambdas, dtype=float)
+    if np.any(lams <= 0):
+        raise ValueError(f"lambda must be positive, got {lams[lams <= 0][0]}")
+    if spectrum.dim != M:
+        raise DimensionError(f"spectrum dim {spectrum.dim} != M = {M}")
+    t = K / lams
+    delta, iters = solve_delta_grid(spectrum, K, t)
+    tr = _psi_t(spectrum.eigenvalues, t, delta)
+    denom = 1.0 + t * delta
+    columns = (lams, t, delta, tr, tr / denom, M / K - t * tr / (K * denom), iters)
+    return tuple(DeterministicEquivalents(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
 def coefficients(spectrum: CorrelationSpectrum, M: int, K: int, lam: float) -> DeterministicEquivalents:
     """Deterministic coefficients (xi1, xi2) of the predicted cost at penalty ``lam``."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if spectrum.dim != M:
-        raise DimensionError(f"spectrum dim {spectrum.dim} != M = {M}")
-    t = K / lam
-    delta, iters = solve_delta(spectrum, K, t)
-    tr = trace_psi_t(spectrum, t, delta)
-    denom = 1.0 + t * delta
-    xi1 = tr / denom
-    xi2 = M / K - t * tr / (K * denom)
-    return DeterministicEquivalents(
-        lam=lam, t=t, delta=delta, trace_psi_t=tr, xi1=xi1, xi2=xi2,
-        fixed_point_iters=iters,
-    )
+    return coefficients_grid(spectrum, M, K, [lam])[0]
 
 
 def alpha(coeffs: DeterministicEquivalents, sigma_x2: float, sigma_n2: float) -> float:

@@ -267,6 +267,15 @@ class TestCliRuns:
                          "--parallelism", "zero"])
         assert code == 2
 
+    def test_one_penalty_grid_exits_config_error(self, tmp_path, capsys):
+        # rejected like a repeated or nonpositive penalty, not logged per block
+        out = tmp_path / "one.csv"
+        code = cli.main(["scenario", "a", "--trials", "2", "--snr-db", "10",
+                         "--lambdas", "0.001", "--out", str(out)])
+        assert code == 2
+        assert "at least 2 penalty values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snr_range_parsing(self, capsys):
         code = cli.main(["scenario", "a", "--trials", "2", "--snr-db", "0:4:2"])
         assert code == 0

@@ -186,7 +186,7 @@ class TestFailedTrials:
         def fail(*args):
             raise ConvergenceError("fixed point did not converge")
 
-        monkeypatch.setattr("ridgesnr.estimator.coefficients", fail)
+        monkeypatch.setattr("ridgesnr.estimator.coefficients_grid", fail)
         config = RunConfig(scenario=self.SQUARE_TINY_LAMBDA, trials=3, master_seed=8,
                            parallelism=1)
         with caplog.at_level("WARNING", logger="ridgesnr.harness"):
@@ -226,14 +226,15 @@ class TestFailedTrials:
 class TestTrialInvariantWork:
     @staticmethod
     def count_coefficient_calls(monkeypatch) -> list:
+        """Record (m, k, grid) of every grid solve the estimator makes."""
         calls = []
-        original = estimator.coefficients
+        original = estimator.coefficients_grid
 
-        def counting(spectrum, m, k, lam, *args, **kwargs):
-            calls.append((m, k))
-            return original(spectrum, m, k, lam, *args, **kwargs)
+        def counting(spectrum, m, k, lambdas, *args, **kwargs):
+            calls.append((m, k, tuple(lambdas)))
+            return original(spectrum, m, k, lambdas, *args, **kwargs)
 
-        monkeypatch.setattr(estimator, "coefficients", counting)
+        monkeypatch.setattr(estimator, "coefficients_grid", counting)
         return calls
 
     def test_one_plan_per_scenario_run(self, monkeypatch):
@@ -241,7 +242,8 @@ class TestTrialInvariantWork:
         config = RunConfig(scenario="a", trials=5, master_seed=8,
                            snr_points_db=(0.0, 10.0, 20.0), parallelism=1)
         run_scenario(config)
-        assert len(calls) == len(config.resolve_scenario().lambda_grid)
+        definition = config.resolve_scenario()
+        assert calls == [(*definition.dims, tuple(definition.lambda_grid))]
 
     def test_one_plan_per_dims_block(self, monkeypatch):
         calls = self.count_coefficient_calls(monkeypatch)
@@ -249,8 +251,8 @@ class TestTrialInvariantWork:
                            snr_points_db=(0.0, 10.0), parallelism=1)
         dim_sweep(config)
         definition = config.resolve_scenario()
-        grid_size = len(definition.lambda_grid)
-        assert calls == [dims for dims in definition.dims_list for _ in range(grid_size)]
+        grid = tuple(definition.lambda_grid)
+        assert calls == [(*dims, grid) for dims in definition.dims_list]
 
 
 class TestVerifyTheorem:

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ridgesnr import (
     ConvergenceError,
@@ -10,7 +11,9 @@ from ridgesnr import (
     DefinitenessError,
     alpha,
     coefficients,
+    coefficients_grid,
     solve_delta,
+    solve_delta_grid,
     trace_psi_t,
 )
 from ridgesnr.rmt import PICARD_STEPS
@@ -63,15 +66,35 @@ def mpmath_delta(q: np.ndarray, k: int, t: float) -> float:
                                      solver="anderson"))
 
 
-def picard_delta(q: np.ndarray, k: int, t: float, tol: float = 1e-12) -> tuple[float, int]:
-    """Plain Picard iteration from tr(Q)/k, the fixed point's first phase written out."""
+def per_penalty_delta(q: np.ndarray, k: int, t: float, tol: float = 1e-12,
+                      max_iter: int = 10_000) -> tuple[float, int]:
+    """The fixed point at one t, written out as scalar loops: plain Picard iteration
+    from tr(Q)/k for up to PICARD_STEPS steps, then Newton on
+    g(d) = d B - (1 - B)/t, B = (k - m + sum 1/(1 + c q))/k, bisecting a step
+    that leaves the bracket [lo, hi] (first [0, last Picard iterate])."""
     delta = float(q.sum()) / k
-    for iteration in range(1, PICARD_STEPS + 1):
+    for iteration in range(1, min(max_iter, PICARD_STEPS) + 1):
         nxt = fixed_point_map(q, k, t, delta)
         if abs(nxt - delta) <= tol * max(nxt, 1.0):
             return nxt, iteration
         delta = nxt
-    raise AssertionError(f"Picard did not converge within {PICARD_STEPS} steps")
+    lo, hi = 0.0, delta
+    for iteration in range(PICARD_STEPS + 1, max_iter + 1):
+        c = t / (1.0 + t * delta)
+        u = 1.0 / (1.0 + c * q)
+        b = (k - q.size + float(np.sum(u))) / k
+        gap = delta * b - (1.0 - b) / t
+        if gap > 0:
+            hi = delta
+        else:
+            lo = delta
+        slope = 1.0 - c * c * float(np.sum((q * u) ** 2)) / k
+        step = gap / slope if slope > 0 else math.inf
+        if abs(step) <= tol * max(delta, 1.0):
+            return delta - step, iteration
+        delta = delta - step if lo < delta - step < hi else 0.5 * (lo + hi)
+    raise ConvergenceError("no convergence", last_iterate=delta,
+                           residual=abs(fixed_point_map(q, k, t, delta) - delta))
 
 
 def exponential_spectrum(m: int, rho: float = 0.4) -> CorrelationSpectrum:
@@ -211,8 +234,74 @@ class TestSquareSystems:
         for lam in (1e-6, *DEFAULT_GRID, 1.0):
             t = 40 / lam
             delta, iters = solve_delta(spec, 40, t)
-            assert (delta, iters) == picard_delta(q, 40, t)
+            assert (delta, iters) == per_penalty_delta(q, 40, t)
             assert iters <= PICARD_STEPS
+
+
+def grid_problem(m: int, shape: str, zeros: float, seed: int) -> tuple[np.ndarray, int]:
+    """Eigenvalues and K for a square, identity, tall or wide system; ``zeros`` is
+    the share of eigenvalues set to zero (a rank-deficient Psi)."""
+    rng = np.random.default_rng(seed)
+    q = np.ones(m) if shape == "identity" else rng.uniform(0.0, 2.0, m)
+    q[rng.random(m) < zeros] = 0.0
+    q[0] = max(q[0], 0.1)
+    k = {"tall": int(rng.integers(1, m)), "wide": int(rng.integers(m + 1, 3 * m))}.get(shape, m)
+    return q, k
+
+
+GRID_PROBLEMS = dict(
+    m=st.integers(5, 120),
+    shape=st.sampled_from(["square", "identity", "tall", "wide"]),
+    zeros=st.sampled_from([0.0, 0.5, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.floats(-7.0, 3.0), min_size=1, max_size=8),
+)
+
+
+class TestGridSolver:
+    """solve_delta_grid against the same iteration run one penalty at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**GRID_PROBLEMS)
+    @example(m=30, shape="identity", zeros=0.0, seed=0, exponents=[-7.0, -6.0, -3.0, 0.0, 3.0])
+    @example(m=60, shape="square", zeros=0.5, seed=1, exponents=[-7.0, -6.5, -6.0, -5.5])
+    def test_bit_identical_to_per_penalty_solves(self, m, shape, zeros, seed, exponents):
+        q, k = grid_problem(m, shape, zeros, seed)
+        ts = k / 10.0 ** np.array(exponents)
+        deltas, steps = solve_delta_grid(CorrelationSpectrum.from_diagonal(q), k, ts)
+        assert [(d, n) for d, n in zip(deltas.tolist(), steps.tolist())] == \
+            [per_penalty_delta(q, k, t) for t in ts]
+
+    @settings(max_examples=100, deadline=None)
+    @given(**GRID_PROBLEMS, max_iter=st.integers(1, PICARD_STEPS + 8))
+    @example(m=30, shape="identity", zeros=0.0, seed=0, exponents=[-3.0, -7.0, -6.0],
+             max_iter=PICARD_STEPS + 1)
+    def test_same_convergence_error_under_a_small_budget(self, m, shape, zeros, seed,
+                                                          exponents, max_iter):
+        q, k = grid_problem(m, shape, zeros, seed)
+        spec = CorrelationSpectrum.from_diagonal(q)
+        ts = k / 10.0 ** np.array(exponents)
+        failed = []
+        for t in ts:
+            try:
+                per_penalty_delta(q, k, t, max_iter=max_iter)
+            except ConvergenceError as err:
+                failed.append((t, err))
+        if not failed:
+            solve_delta_grid(spec, k, ts, max_iter=max_iter)
+            return
+        with pytest.raises(ConvergenceError) as err:
+            solve_delta_grid(spec, k, ts, max_iter=max_iter)
+        t, expected = failed[0]
+        assert (err.value.last_iterate, err.value.residual) == \
+            (expected.last_iterate, expected.residual)
+        assert f"lambda={k / t:g}, t={t:g}," in str(err.value)
+
+    def test_coefficients_grid_matches_one_penalty_calls(self):
+        spec = exponential_spectrum(80)
+        grid = (1e-6, *DEFAULT_GRID, 1.0)
+        assert coefficients_grid(spec, 80, 40, grid) == \
+            tuple(coefficients(spec, 80, 40, lam) for lam in grid)
 
 
 class TestTraceFunctional:
