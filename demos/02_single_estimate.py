@@ -10,12 +10,11 @@ row pairs the deterministic coefficients (xi1, xi2) with the realized cost.
 from ridgesnr import (
     CorrelationSpec,
     DistributionSpec,
-    assemble_system,
+    EstimatorPlan,
     build_correlation,
     derive_rng,
     ml_baseline,
     sample_truth,
-    solve_system,
     synthesize,
 )
 
@@ -37,12 +36,12 @@ def main():
     print(f"world: exponential correlation (rho 0.4), {M}x{K}, "
           f"true SNR {SNR_DB:.1f} dB (sigma_x^2={sigma_x2:.3f}, sigma_n^2={sigma_n2:.3f})\n")
 
-    system = assemble_system(model, LAMBDAS)
+    plan = EstimatorPlan(model.spectrum, M, K, LAMBDAS)
     print(f"{'lambda':>8} {'xi1':>12} {'xi2':>12} {'realized cost':>14}")
-    for lam, (xi1, xi2), phi in zip(system.lambdas, system.xi, system.phi):
+    for lam, (xi1, xi2), phi in zip(plan.lambdas, plan.xi, plan.costs(model)):
         print(f"{lam:8.3g} {xi1:12.6f} {xi2:12.6f} {phi:14.6f}")
 
-    estimate = solve_system(system)
+    estimate = plan.estimate(model)
     print(f"\nblind estimate: sigma_x^2 = {estimate.sigma_x2_hat:.4f}, "
           f"sigma_n^2 = {estimate.sigma_n2_hat:.4f}")
     print(f"estimated SNR  = {estimate.snr_db:+.2f} dB (true {SNR_DB:+.2f} dB)")

@@ -9,14 +9,11 @@ from .estimator import (
     EstimatorPlan,
     LinearModel,
     RidgeSolution,
-    RegressionSystem,
     SnrEstimate,
-    assemble_system,
     estimate_snr,
     ml_baseline,
     ridge_costs,
     ridge_solve,
-    solve_system,
 )
 from .exceptions import (
     ConvergenceError,
@@ -35,7 +32,7 @@ from .harness import (
     run_scenario,
     verify_theorem,
 )
-from .numerics import EigenPair, bessel_j0, nnls_2var, spd_solve, sym_eig
+from .numerics import nnls_2var, spd_solve, sym_eig
 from .rmt import (
     CorrelationSpectrum,
     DeterministicEquivalents,
@@ -44,7 +41,6 @@ from .rmt import (
     coefficients_grid,
     solve_delta,
     solve_delta_grid,
-    trace_psi_t,
 )
 from .scenarios import (
     CorrelationSpec,
@@ -60,17 +56,16 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EstimatorPlan", "LinearModel", "RidgeSolution", "RegressionSystem", "SnrEstimate",
-    "assemble_system", "estimate_snr", "ml_baseline", "ridge_costs", "ridge_solve",
-    "solve_system",
+    "EstimatorPlan", "LinearModel", "RidgeSolution", "SnrEstimate",
+    "estimate_snr", "ml_baseline", "ridge_costs", "ridge_solve",
     "ConvergenceError", "DataFormatError", "DefinitenessError",
     "DimensionError", "RidgeSnrError",
     "MetricsRow", "RunConfig", "derive_rng", "dim_sweep",
     "estimate_from_files", "lambda_sensitivity", "run_scenario",
     "verify_theorem",
-    "EigenPair", "bessel_j0", "nnls_2var", "spd_solve", "sym_eig",
+    "nnls_2var", "spd_solve", "sym_eig",
     "CorrelationSpectrum", "DeterministicEquivalents", "alpha",
-    "coefficients", "coefficients_grid", "solve_delta", "solve_delta_grid", "trace_psi_t",
+    "coefficients", "coefficients_grid", "solve_delta", "solve_delta_grid",
     "CorrelationSpec", "DistributionSpec", "GroundTruth",
     "ScenarioDefinition", "build_correlation", "sample_truth",
     "scenario_catalog", "synthesize",

@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 configuration/parse error, 3 numeric convergence or
 definiteness failure, 4 I/O error.
 
 Run flags left unset fall back first to the optional ``--config`` JSON file
-(keys mirror RunConfig field names) and then to built-in defaults.
+(keys mirror RunConfig field names) and then to built-in defaults. A config
+key the subcommand does not read, or a value of the wrong type, exits 2.
 """
 
 from __future__ import annotations
@@ -82,6 +83,25 @@ _RUN_FLAGS = {
 }
 
 
+def _numbers(value) -> bool:
+    return type(value) is list and all(type(v) in (int, float) for v in value)
+
+
+# --config key (a RunConfig field) -> (the run flag it stands in for, whether a JSON
+# value fits the field); null fits only where the field may be None.
+_CONFIG_KEYS = {
+    "trials": ("trials", lambda v: type(v) is int),
+    "master_seed": ("seed", lambda v: type(v) is int),
+    "lambda_grid": ("lambdas", lambda v: v is None or _numbers(v)),
+    "snr_points_db": ("snr_db", lambda v: v is None or _numbers(v)),
+    "output_path": ("out", lambda v: v is None or type(v) is str),
+    "parallelism": ("parallelism", lambda v: v in (None, "auto") or type(v) is int),
+    "dump_trials": ("dump_trials", lambda v: type(v) is bool),
+    "dims": ("dims", lambda v: v is None or type(v) is list and all(
+        type(p) is list and list(map(type, p)) == [int, int] for p in v)),
+}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser, *unread: str) -> None:
     """Register every run flag except the ``unread`` ones, which the subcommand ignores."""
     for flag, spec in _RUN_FLAGS.items():
@@ -134,24 +154,30 @@ def _resolve_run_config(args: argparse.Namespace, scenario: str,
             payload = json.load(handle)
         if not isinstance(payload, dict):
             raise DataFormatError(f"{args.config}: config must be a JSON object")
+    for key, value in payload.items():
+        if key not in _CONFIG_KEYS or not hasattr(args, _CONFIG_KEYS[key][0]):
+            raise DataFormatError(f"{args.config}: {args.command} reads no config key {key!r}")
+        if not _CONFIG_KEYS[key][1](value):
+            raise DataFormatError(f"{args.config}: config key {key!r} has a value of the "
+                                  f"wrong type: {value!r}")
 
-    def pick(flag, key, fallback):
-        value = getattr(args, flag, None)
+    def pick(key, fallback=None):
+        value = getattr(args, _CONFIG_KEYS[key][0], None)
         return payload.get(key, fallback) if value is None else value
 
-    lambdas = pick("lambdas", "lambda_grid", None)
-    snr_points = pick("snr_db", "snr_points_db", None)
-    dims = pick("dims", "dims", None)
+    lambdas = pick("lambda_grid")
+    snr_points = pick("snr_points_db")
+    dims = pick("dims")
     return harness.RunConfig(
         scenario=scenario,
-        trials=int(pick("trials", "trials", default_trials)),
-        master_seed=int(pick("seed", "master_seed", 0)),
+        trials=pick("trials", default_trials),
+        master_seed=pick("master_seed", 0),
         lambda_grid=tuple(float(v) for v in lambdas) if lambdas else None,
         snr_points_db=tuple(float(v) for v in snr_points) if snr_points else None,
-        output_path=pick("out", "output_path", None),
-        parallelism=_coerce_parallelism(pick("parallelism", "parallelism", 1)),
-        dump_trials=bool(pick("dump_trials", "dump_trials", False)),
-        dims=tuple((int(m), int(k)) for m, k in dims) if dims else None,
+        output_path=pick("output_path"),
+        parallelism=_coerce_parallelism(pick("parallelism", 1)),
+        dump_trials=pick("dump_trials", False),
+        dims=tuple((m, k) for m, k in dims) if dims else None,
     )
 
 

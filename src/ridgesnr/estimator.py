@@ -4,7 +4,9 @@ The pipeline: solve the ridge problem at each penalty in a small grid, record
 the normalized cost, pair each cost with the deterministic coefficients
 (xi1, xi2) from :mod:`ridgesnr.rmt`, and invert the resulting n x 2 linear
 system for (sigma_x^2, sigma_n^2) under a nonnegativity constraint. The SNR
-estimate is their ratio. A classical maximum-likelihood baseline (residual
+estimate is their ratio. :class:`EstimatorPlan` runs it: it holds the
+coefficients of one (Psi, M, K, grid), and its ``costs`` and ``estimate`` take
+one observation each. A classical maximum-likelihood baseline (residual
 noise-variance estimate combined with the known signal variance) is provided
 for comparison.
 """
@@ -26,13 +28,10 @@ from .rmt import CorrelationSpectrum, coefficients_grid
 __all__ = [
     "LinearModel",
     "RidgeSolution",
-    "RegressionSystem",
     "SnrEstimate",
     "EstimatorPlan",
     "ridge_solve",
     "ridge_costs",
-    "assemble_system",
-    "solve_system",
     "estimate_snr",
     "ml_baseline",
 ]
@@ -113,16 +112,6 @@ class RidgeSolution:
     lam: float
     x_hat: np.ndarray
     phi: float
-
-
-@dataclass(frozen=True, eq=False)
-class RegressionSystem:
-    """Stacked per-penalty system Xi @ sigma ~ phi used to recover the variances."""
-
-    lambdas: np.ndarray
-    xi: np.ndarray
-    phi: np.ndarray
-    equivalents: tuple
 
 
 @dataclass(frozen=True)
@@ -229,7 +218,7 @@ class EstimatorPlan:
     fixed-point solve for the whole grid; every observation drawn with this
     spectrum and these dimensions then costs only its ridge solves and the
     2-variable NNLS. ``lambdas`` is stored as the validated grid; it and ``xi``
-    are read-only because every system the plan assembles shares them.
+    are read-only because every estimate the plan makes shares them.
     """
 
     spectrum: CorrelationSpectrum
@@ -249,42 +238,23 @@ class EstimatorPlan:
         object.__setattr__(self, "equivalents", equivs)
         object.__setattr__(self, "xi", xi)
 
-    def system(self, model: LinearModel) -> RegressionSystem:
-        """Pair the plan's coefficients with the realized cost of ``model`` at each penalty."""
+    def costs(self, model: LinearModel) -> np.ndarray:
+        """Realized normalized ridge cost of ``model`` at each penalty of the plan."""
         if model.spectrum is not self.spectrum:
             raise DimensionError("model was not drawn with the plan's correlation spectrum")
         if (model.m, model.k) != (self.m, self.k):
             raise DimensionError(f"model is {model.m}x{model.k}, plan is {self.m}x{self.k}")
-        phi = np.array([ridge_solve(model, lam).phi for lam in self.lambdas])
-        return RegressionSystem(lambdas=self.lambdas, xi=self.xi, phi=phi,
-                                equivalents=self.equivalents)
+        return np.array([ridge_solve(model, lam).phi for lam in self.lambdas])
 
     def estimate(self, model: LinearModel) -> SnrEstimate:
-        """Blind SNR estimate of ``model``; see :func:`estimate_snr`."""
-        return solve_system(self.system(model))
-
-
-def assemble_system(model: LinearModel, lambdas) -> RegressionSystem:
-    """Evaluate (xi1, xi2) and the realized cost at each penalty in the grid."""
-    return EstimatorPlan(model.spectrum, model.m, model.k, lambdas).system(model)
-
-
-def solve_system(system: RegressionSystem) -> SnrEstimate:
-    """Invert an assembled system for the variances under the sign constraint.
-
-    The estimate carries the norm of the fit residual phi - Xi @ sigma.
-    """
-    sigma, fit_residual = nnls_2var(system.xi, system.phi)
-    sigma_x2, sigma_n2 = float(sigma[0]), float(sigma[1])
-    snr, snr_db = _snr_fields(sigma_x2, sigma_n2)
-    return SnrEstimate(
-        sigma_x2_hat=sigma_x2,
-        sigma_n2_hat=sigma_n2,
-        snr_linear=snr,
-        snr_db=snr_db,
-        fit_residual_norm=fit_residual,
-        fixed_point_iters=tuple(e.fixed_point_iters for e in system.equivalents),
-    )
+        """Blind SNR estimate of ``model`` (see :func:`estimate_snr`), from Xi @ sigma ~ costs
+        under the sign constraint, with the norm of the fit residual costs - Xi @ sigma."""
+        sigma, fit_residual = nnls_2var(self.xi, self.costs(model))
+        sigma_x2, sigma_n2 = float(sigma[0]), float(sigma[1])
+        snr, snr_db = _snr_fields(sigma_x2, sigma_n2)
+        iters = tuple(e.fixed_point_iters for e in self.equivalents)
+        return SnrEstimate(sigma_x2_hat=sigma_x2, sigma_n2_hat=sigma_n2, snr_linear=snr,
+                           snr_db=snr_db, fit_residual_norm=fit_residual, fixed_point_iters=iters)
 
 
 def estimate_snr(model: LinearModel, lambdas) -> SnrEstimate:

@@ -51,8 +51,6 @@ __all__ = [
     "lambda_sensitivity",
     "estimate_from_files",
     "derive_rng",
-    "write_metrics_csv",
-    "write_theorem_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -391,10 +389,7 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
     m, k = _own_dims(config, definition)
     grid = config.lambda_grid or definition.lambda_grid
     spectrum = _correlation_for(definition, m, config.master_seed)
-    if definition.swept is None:
-        signal, noise = definition.signal, definition.noise
-    else:
-        signal, noise = definition.specs_at(definition.snr_points_db[0])
+    signal, noise = definition.specs_at(definition.snr_points_db[0])
     _check_dims(spectrum, m, k)
     wbar = derive_rng(config.master_seed, STREAM_FIXED_DESIGN).standard_normal((m, k))
     design = spectrum.sqrt_apply(wbar)
@@ -413,7 +408,7 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
         rel = abs(mc - predicted) / predicted if predicted != 0 else abs(mc)
         rows.append((float(lam), float(mc), float(predicted), float(rel)))
     if config.output_path:
-        write_theorem_csv(config.output_path, config, rows)
+        _write_csv(config.output_path, config, _theorem_table(rows))
     return rows
 
 
@@ -472,20 +467,11 @@ def _write_csv(path: str | Path, config: RunConfig, table: list[str]) -> None:
     Path(path).write_text("\n".join(_config_header(config) + table) + "\n")
 
 
-def write_metrics_csv(path: str | Path, config: RunConfig, rows: list[MetricsRow]) -> None:
-    _write_csv(path, config, _table(MetricsRow, rows))
-
-
-def write_theorem_csv(path: str | Path, config: RunConfig,
-                      rows: list[tuple[float, float, float, float]]) -> None:
-    _write_csv(path, config, _theorem_table(rows))
-
-
 def _write_outputs(config: RunConfig, rows: list[MetricsRow],
                    records: list[TrialRecord]) -> None:
     if not config.output_path:
         return
-    write_metrics_csv(config.output_path, config, rows)
+    _write_csv(config.output_path, config, _table(MetricsRow, rows))
     if config.dump_trials:
         out = Path(config.output_path)
         _write_csv(out.with_name(out.stem + "_trials" + out.suffix), config,

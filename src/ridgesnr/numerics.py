@@ -1,5 +1,5 @@
-"""Dense numerical kernels: symmetric eigendecomposition, SPD solve, Bessel J0,
-and an exact two-variable nonnegative least-squares solver.
+"""Dense numerical kernels: symmetric eigendecomposition, SPD solve, and an
+exact two-variable nonnegative least-squares solver.
 
 The eigendecomposition and the SPD solve are thin validated fronts over
 LAPACK (via numpy/scipy); the NNLS solver is specialized to two unknowns and
@@ -9,24 +9,14 @@ possible active sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.special
 
 from .exceptions import DefinitenessError, DimensionError
 
-__all__ = ["EigenPair", "sym_eig", "spd_solve", "bessel_j0", "nnls_2var"]
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """Spectral decomposition A = V diag(w) V^T with eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+__all__ = ["sym_eig", "spd_solve", "nnls_2var"]
 
 
 def _as_matrix(a, name: str = "A") -> np.ndarray:
@@ -38,8 +28,9 @@ def _as_matrix(a, name: str = "A") -> np.ndarray:
     return a
 
 
-def sym_eig(a) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a symmetric matrix, as from ``np.linalg.eigh``
+    but with the eigenvalues descending and the eigenvector columns in their order.
 
     The input must be square and symmetric to a 1e-12 relative tolerance;
     asymmetry beyond that raises DimensionError rather than being silently
@@ -54,7 +45,7 @@ def sym_eig(a) -> EigenPair:
         raise DimensionError("matrix is not symmetric within 1e-12 relative tolerance")
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(w)[::-1]
-    return EigenPair(eigenvalues=w[order], eigenvectors=v[:, order])
+    return w[order], v[:, order]
 
 
 def spd_solve(a, b) -> np.ndarray:
@@ -70,13 +61,6 @@ def spd_solve(a, b) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
     return sla.cho_solve(factor, b, check_finite=False)
-
-
-def bessel_j0(x: float) -> float:
-    """Zero-order Bessel function of the first kind."""
-    if not np.isfinite(x):
-        raise ValueError("bessel_j0 requires a finite argument")
-    return float(scipy.special.j0(x))
 
 
 def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:

@@ -35,7 +35,7 @@ from .numerics import sym_eig
 
 __all__ = [
     "CorrelationSpectrum", "DeterministicEquivalents", "solve_delta", "solve_delta_grid",
-    "trace_psi_t", "coefficients", "coefficients_grid", "alpha",
+    "coefficients", "coefficients_grid", "alpha",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -91,10 +91,6 @@ class CorrelationSpectrum:
     def diagonal(self) -> bool:
         return self.basis is None
 
-    @property
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
-
     @cached_property
     def sqrt_matrix(self) -> np.ndarray:
         """Dense Psi^(1/2); cached because scenario synthesis reuses it per trial."""
@@ -122,8 +118,7 @@ class CorrelationSpectrum:
         Eigenvalues in [-EIG_FLOOR_REL * q_max, 0) are floored to zero (round-off
         from the eigensolver); anything more negative raises DefinitenessError.
         """
-        pair = sym_eig(psi)
-        q = pair.eigenvalues.copy()
+        q, basis = sym_eig(psi)
         q_max = float(q.max())
         if q_max <= 0:
             raise DefinitenessError("correlation matrix has no positive eigenvalue")
@@ -133,7 +128,7 @@ class CorrelationSpectrum:
                 f"is below -{EIG_FLOOR_REL:g} * q_max = {-EIG_FLOOR_REL * q_max:.6e}"
             )
         q[q < 0] = 0.0
-        return cls(eigenvalues=q, basis=pair.eigenvectors)
+        return cls(eigenvalues=q, basis=basis)
 
     @classmethod
     def from_diagonal(cls, diag) -> "CorrelationSpectrum":
@@ -226,15 +221,6 @@ def solve_delta(spectrum: CorrelationSpectrum, K: int, t: float,
                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, int]:
     """(delta, steps taken) at one t: :func:`solve_delta_grid` on the grid [t]."""
     return tuple(a.item() for a in solve_delta_grid(spectrum, K, [t], tol, max_iter))
-
-
-def trace_psi_t(spectrum: CorrelationSpectrum, t: float, delta: float) -> float:
-    """Trace of Psi against the resolvent at (t, delta), computed in the eigenbasis.
-
-    For t = 0 this is tr(Psi); for delta solving the fixed point at t it
-    equals K * delta identically, which downstream code uses as a self-check.
-    """
-    return spectrum.trace if t == 0 else float(_psi_t(spectrum.eigenvalues, t, delta))
 
 
 def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.special
 
 from .estimator import LinearModel, _snr_fields
 from .exceptions import DimensionError
-from .numerics import bessel_j0
 from .rmt import CorrelationSpectrum
 
 __all__ = [
@@ -145,7 +145,7 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationSpectrum:
     offsets = np.arange(m)
     dist2 = (offsets[:, None] - offsets[None, :]) ** 2
     if spec.kind == "bessel":
-        first_row = np.array([bessel_j0(math.pi * d * d) for d in range(m)])
+        first_row = scipy.special.j0(math.pi * offsets * offsets)
         psi = first_row[np.abs(offsets[:, None] - offsets[None, :])]
     else:
         if spec.rho_hat == 0.0:

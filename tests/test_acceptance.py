@@ -17,13 +17,13 @@ import pytest
 from ridgesnr import (
     CorrelationSpectrum,
     RunConfig,
+    coefficients,
     dim_sweep,
     lambda_sensitivity,
     nnls_2var,
     run_scenario,
     scenario_catalog,
     solve_delta,
-    trace_psi_t,
     verify_theorem,
 )
 from test_estimator import ratio_bias_terms
@@ -119,8 +119,8 @@ def test_criterion_2_trace_identity():
         q[0] = max(q[0], 0.1)
         spec = CorrelationSpectrum.from_diagonal(q)
         t = float(10.0 ** rng.uniform(-3, 3))
-        delta, _ = solve_delta(spec, k, t)
-        rel = abs(trace_psi_t(spec, t, delta) - k * delta) / (k * delta)
+        coeff = coefficients(spec, m, k, k / t)
+        rel = abs(coeff.trace_psi_t - k * coeff.delta) / (k * coeff.delta)
         worst = max(worst, rel)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed < 5.0

@@ -305,6 +305,20 @@ class TestCliRuns:
         assert code == 0
         assert "trials=5" in out.read_text()
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"trials": None, "snr_points_db": [10]}, "trials"),
+        ({"trials": 2, "snr_points_db": 10}, "snr_points_db"),
+        ({"trials": 2, "seed": 7, "snr_points_db": [10]}, "seed"),
+        ({"trails": 2, "snr_points_db": [10]}, "trails"),
+    ], ids=["null-trials", "scalar-snr-points", "seed-not-master-seed", "misspelt-key"])
+    def test_bad_config_key_or_value_exits_config_error(self, tmp_path, capsys, payload, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "o.csv"
+        assert cli.main(["scenario", "a", "--config", str(cfg), "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_json_exits_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("{not json")

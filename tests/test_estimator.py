@@ -10,7 +10,6 @@ from ridgesnr import (
     DistributionSpec,
     EstimatorPlan,
     LinearModel,
-    assemble_system,
     build_correlation,
     derive_rng,
     estimate_snr,
@@ -18,7 +17,6 @@ from ridgesnr import (
     ridge_costs,
     ridge_solve,
     sample_truth,
-    solve_system,
     synthesize,
 )
 from ridgesnr.estimator import COST_BLOCK
@@ -184,20 +182,27 @@ class TestRidgeCosts:
             next(ridge_costs(model.design, model.y, (1.0,)))
 
 
+def plan_for(model: LinearModel, lambdas) -> EstimatorPlan:
+    return EstimatorPlan(model.spectrum, model.m, model.k, lambdas)
+
+
 class TestAssembleSystem:
+    """The per-penalty system Xi @ sigma ~ costs that a plan pairs with an observation."""
+
     def test_rejects_duplicate_lambdas(self):
         with pytest.raises(ValueError):
-            assemble_system(random_model(8), [1e-3, 1e-3])
+            plan_for(random_model(8), [1e-3, 1e-3])
 
     def test_rejects_single_lambda(self):
         with pytest.raises(Exception):
-            assemble_system(random_model(8), [1e-3])
+            plan_for(random_model(8), [1e-3])
 
     def test_paper_default_grid_shape(self):
-        system = assemble_system(random_model(9, m=80, k=40), [1e-3, 2e-3, 3e-3, 4e-3])
-        assert system.xi.shape == (4, 2)
-        assert system.phi.shape == (4,)
-        assert np.all(np.isfinite(system.xi))
+        model = random_model(9, m=80, k=40)
+        plan = plan_for(model, [1e-3, 2e-3, 3e-3, 4e-3])
+        assert plan.xi.shape == (4, 2)
+        assert plan.costs(model).shape == (4,)
+        assert np.all(np.isfinite(plan.xi))
 
     def test_two_lambda_exact_solve_matches_nnls_when_interior(self):
         spec = build_correlation(CorrelationSpec(kind="diag_uniform", dim=80, seed=3))
@@ -207,8 +212,8 @@ class TestAssembleSystem:
         truth = sample_truth(sig, noi, 80, 40, rng)
         model = synthesize(spec, truth, rng)
         grid = [1e-3, 2e-3]
-        system = assemble_system(model, grid)
-        exact = np.linalg.solve(system.xi, system.phi)
+        plan = plan_for(model, grid)
+        exact = np.linalg.solve(plan.xi, plan.costs(model))
         assert np.all(exact > 0), "seed must give an interior solution for this check"
         estimate = estimate_snr(model, grid)
         assert estimate.sigma_x2_hat == pytest.approx(exact[0], rel=1e-9)
@@ -226,9 +231,8 @@ class TestEstimatorPlan:
             rng = derive_rng(41, trial)
             model = synthesize(spec, sample_truth(sig, noi, 40, 20, rng), rng)
             assert plan.estimate(model) == estimate_snr(model, grid)
-            system = plan.system(model)
-            assert np.array_equal(system.phi, assemble_system(model, grid).phi)
-            assert system.xi is plan.xi
+            assert np.array_equal(plan.costs(model),
+                                  [ridge_solve(model, lam).phi for lam in grid])
 
     def test_rejects_model_of_another_spectrum_or_shape(self):
         model = random_model(11)
@@ -237,11 +241,13 @@ class TestEstimatorPlan:
         other = LinearModel(design=model.design, raw_design=model.raw_design,
                             spectrum=twin, y=model.y)
         with pytest.raises(DimensionError):
-            plan.system(other)
+            plan.costs(other)
+        with pytest.raises(DimensionError):
+            plan.estimate(other)
         narrow = LinearModel(design=model.design[:, :4], raw_design=model.raw_design[:, :4],
                              spectrum=model.spectrum, y=model.y)
         with pytest.raises(DimensionError):
-            plan.system(narrow)
+            plan.costs(narrow)
 
     def test_shared_arrays_are_read_only(self):
         model = random_model(12)
@@ -249,7 +255,9 @@ class TestEstimatorPlan:
         plan = EstimatorPlan(model.spectrum, model.m, model.k, grid)
         assert plan.lambdas is not grid and grid.flags.writeable
         with pytest.raises(ValueError):
-            plan.system(model).xi[0, 0] = 0.0
+            plan.xi[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            plan.lambdas[0] = 2.0
 
 
 class TestLinearModel:
@@ -269,13 +277,17 @@ class TestLinearModel:
 
 
 class TestSolveSystem:
+    """A plan's inversion of Xi @ sigma ~ costs for the variances."""
+
     def test_attaches_fit_residual(self):
         model = random_model(21, m=40, k=20)
-        system = assemble_system(model, [1e-2, 2e-2, 3e-2])
-        estimate = solve_system(system)
+        plan = plan_for(model, [1e-2, 2e-2, 3e-2])
+        estimate = plan.estimate(model)
         sigma = np.array([estimate.sigma_x2_hat, estimate.sigma_n2_hat])
         assert estimate.fit_residual_norm == pytest.approx(
-            np.linalg.norm(system.phi - system.xi @ sigma))
+            np.linalg.norm(plan.costs(model) - plan.xi @ sigma))
+        assert estimate.fixed_point_iters == tuple(
+            e.fixed_point_iters for e in plan.equivalents)
 
 
 class TestEstimateSnr:

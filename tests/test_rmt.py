@@ -14,7 +14,6 @@ from ridgesnr import (
     coefficients_grid,
     solve_delta,
     solve_delta_grid,
-    trace_psi_t,
 )
 from ridgesnr.rmt import PICARD_STEPS
 
@@ -305,18 +304,14 @@ class TestGridSolver:
 
 
 class TestTraceFunctional:
-    def test_t_zero_returns_trace(self):
-        rng = np.random.default_rng(6)
-        q = rng.uniform(0.0, 2.0, 30)
-        spec = CorrelationSpectrum.from_diagonal(q)
-        assert trace_psi_t(spec, 0.0, 0.5) == pytest.approx(q.sum(), rel=1e-14)
-
     def test_identity_spectrum_closed_form(self):
         m = 64
         spec = CorrelationSpectrum.from_diagonal(np.ones(m))
         delta = closed_form_delta(1.0)
         expected = m / (1.0 + 1.0 / (1.0 + delta))
-        assert trace_psi_t(spec, 1.0, delta) == pytest.approx(expected, rel=1e-12)
+        coeff = coefficients(spec, m, m, lam=float(m))  # t = 1
+        assert coeff.trace_psi_t == pytest.approx(expected, rel=1e-12)
+        assert coeff.trace_psi_t == pytest.approx(m * coeff.delta, rel=1e-9)
         assert expected == pytest.approx(m * delta, rel=1e-9)
 
     def test_trace_identity_random_spectra(self):
@@ -324,8 +319,8 @@ class TestTraceFunctional:
         for _ in range(50):
             spec, k = random_spectrum(rng)
             t = float(10.0 ** rng.uniform(-3, 3))
-            delta, _ = solve_delta(spec, k, t)
-            assert trace_psi_t(spec, t, delta) == pytest.approx(k * delta, rel=1e-9)
+            coeff = coefficients(spec, spec.dim, k, k / t)
+            assert coeff.trace_psi_t == pytest.approx(k * coeff.delta, rel=1e-9)
 
 
 class TestCoefficients:

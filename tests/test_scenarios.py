@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from ridgesnr import (
     CorrelationSpec,
     CorrelationSpectrum,
     DistributionSpec,
-    bessel_j0,
     build_correlation,
     derive_rng,
     sample_truth,
@@ -27,8 +28,18 @@ class TestBuildCorrelation:
         spec = build_correlation(CorrelationSpec(kind="bessel", dim=12))
         psi = spec.matrix()
         assert np.allclose(np.diag(psi), 1.0, atol=1e-8)
-        assert psi[0, 1] == pytest.approx(bessel_j0(math.pi), abs=1e-8)
-        assert psi[0, 2] == pytest.approx(bessel_j0(4 * math.pi), abs=1e-8)
+        assert psi[0, 1] == pytest.approx(float(mpmath.besselj(0, math.pi)), abs=1e-8)
+        assert psi[0, 2] == pytest.approx(float(mpmath.besselj(0, 4 * math.pi)), abs=1e-8)
+
+    @pytest.mark.parametrize("m", [31, 80, 300])
+    def test_bessel_matrix_matches_scalar_loop(self, monkeypatch, m):
+        dense = []
+        monkeypatch.setattr(CorrelationSpectrum, "from_matrix",
+                            classmethod(lambda cls, psi: dense.append(psi)))
+        build_correlation(CorrelationSpec(kind="bessel", dim=m))
+        row = [float(scipy.special.j0(math.pi * d * d)) for d in range(m)]
+        psi = np.array([[row[abs(i - j)] for j in range(m)] for i in range(m)])
+        assert np.array_equal(dense[0], psi)
 
     def test_exponential_entries(self):
         spec = build_correlation(CorrelationSpec(kind="exponential", dim=8, rho_hat=0.4))
