@@ -53,23 +53,20 @@ def _parse_row(line: str, lineno: int, path: str) -> list[float]:
     return values
 
 
-def _data_lines(path: str | Path):
+def _data_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(one-based line number, stripped text) of each line that is not blank or a comment."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
+    lines = ((lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1))
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 
-def read_matrix(path: str | Path) -> np.ndarray:
-    """Read a dense matrix, one CSV row per line; '#' lines are comments."""
+def _parse_matrix(lines: list[tuple[int, str]], path: str | Path) -> np.ndarray:
     rows = []
     width = None
-    for lineno, line in _data_lines(path):
+    for lineno, line in lines:
         row = _parse_row(line, lineno, str(path))
         if width is None:
             width = len(row)
@@ -83,6 +80,11 @@ def read_matrix(path: str | Path) -> np.ndarray:
     return np.array(rows)
 
 
+def read_matrix(path: str | Path) -> np.ndarray:
+    """Read a dense matrix, one CSV row per line; '#' lines are comments."""
+    return _parse_matrix(_data_lines(path), path)
+
+
 def read_vector(path: str | Path) -> np.ndarray:
     """Read a vector stored either one value per line or as a single CSV row."""
     mat = read_matrix(path)
@@ -92,16 +94,19 @@ def read_vector(path: str | Path) -> np.ndarray:
 
 
 def read_correlation(path: str | Path) -> CorrelationSpectrum:
-    """Read a correlation matrix, dense or as a single ``diag:`` prefixed row."""
-    for lineno, line in _data_lines(path):
-        if line.startswith("diag:"):
-            diag = _parse_row(line[len("diag:"):], lineno, str(path))
-            try:
-                return CorrelationSpectrum.from_diagonal(diag)
-            except (DimensionError, ValueError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid diagonal: {exc}") from exc
-        break
-    mat = read_matrix(path)
+    """Read a correlation matrix, dense or as a single ``diag:`` prefixed row.
+
+    The file is read once; its first data line decides the form.
+    """
+    lines = _data_lines(path)
+    if lines and lines[0][1].startswith("diag:"):
+        lineno, line = lines[0]
+        diag = _parse_row(line[len("diag:"):], lineno, str(path))
+        try:
+            return CorrelationSpectrum.from_diagonal(diag)
+        except (DimensionError, ValueError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: invalid diagonal: {exc}") from exc
+    mat = _parse_matrix(lines, path)
     if mat.shape[0] != mat.shape[1]:
         raise DataFormatError(f"{path}: correlation matrix must be square, got {mat.shape}")
     return CorrelationSpectrum.from_matrix(mat)

@@ -85,7 +85,7 @@ class LinearModel:
         if y.shape != (m,):
             raise DimensionError(f"observation length {y.shape} != design rows {m}")
         _check_dims(self.spectrum, m, k)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(w).all() and np.isfinite(y).all()):
             raise DimensionError("model contains non-finite entries")
 
     @property
@@ -149,14 +149,17 @@ def _snr_fields(sigma_x2: float, sigma_n2: float) -> tuple[float, float]:
 def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
     """Solve min_x ||y - W x||^2 + lam ||x||^2 and evaluate the normalized cost.
 
-    The normal equations (W^T W + lam I) x = W^T y are solved by Cholesky; the
-    cost is evaluated directly from the residual so it is nonnegative even
-    when the two terms nearly cancel.
+    The normal equations (W^T W + lam I) x = W^T y are solved by Cholesky, with
+    lam added to the diagonal of a copy of the cached Gram matrix; the cost is
+    evaluated directly from the residual so it is nonnegative even when the
+    two terms nearly cancel.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     k = model.k
-    x_hat = spd_solve(model.gram + lam * np.eye(k), model.wty)
+    normal = model.gram.copy()
+    normal.flat[:: k + 1] += lam
+    x_hat = spd_solve(normal, model.wty)
     resid = model.y - model.design @ x_hat
     phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
     return RidgeSolution(lam=lam, x_hat=x_hat, phi=phi)

@@ -154,7 +154,7 @@ def _trial_outcome(sx: float, sn: float) -> tuple[float, float, bool, bool]:
     A failed trial (nan pair) is not degenerate; a degenerate one has a zero
     variance estimate, so its SNR is 0, inf or nan.
     """
-    if not (np.isfinite(sx) and np.isfinite(sn)):
+    if not (math.isfinite(sx) and math.isfinite(sn)):
         return math.nan, math.nan, True, False
     snr, snr_db = _snr_fields(sx, sn)
     return snr, snr_db, False, not (0.0 < snr < math.inf)

@@ -2,9 +2,14 @@
 exact two-variable nonnegative least-squares solver.
 
 The eigendecomposition and the SPD solve are thin validated fronts over
-LAPACK (via numpy/scipy); the NNLS solver is specialized to two unknowns and
-solved exactly, by one unconstrained fit or else by enumerating the four
-possible active sets.
+LAPACK; the NNLS solver is specialized to two unknowns and solved exactly, by
+one unconstrained fit or else by enumerating the four possible active sets.
+
+The SPD solve calls LAPACK ``potrf``/``potrs`` directly, the two routines that
+``scipy.linalg.cho_factor``/``cho_solve`` end in, so its bits are theirs. A
+sweep makes five 40x40 solves per trial, and those wrappers' batch handling,
+array-namespace lookup and per-call routine lookup cost about as much as the
+arithmetic itself at that size.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import DefinitenessError, DimensionError
 
@@ -23,7 +28,7 @@ def _as_matrix(a, name: str = "A") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be two-dimensional, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionError(f"{name} contains non-finite entries")
     return a
 
@@ -49,18 +54,30 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spd_solve(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky."""
+    """Solve A x = b for symmetric positive-definite A via Cholesky.
+
+    LAPACK ``dpotrf`` factors a copy of A as L L^T from its lower triangle and
+    ``dpotrs`` solves with the factor: the calls ``scipy.linalg.cho_factor(a,
+    lower=True)`` and ``cho_solve`` make, with the same bits, minus their
+    per-call dispatch. ``b`` is one right-hand side or a matrix of them; A and
+    b are left unchanged.
+    """
     a = _as_matrix(a)
     b = np.asarray(b, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got {a.shape}")
+    if b.ndim not in (1, 2):
+        raise DimensionError(f"right-hand side must be a vector or a matrix, got ndim={b.ndim}")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"right-hand side length {b.shape[0]} != matrix order {a.shape[0]}")
-    try:
-        factor = sla.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
-    return sla.cho_solve(factor, b, check_finite=False)
+    # the wrappers check every shape, so info < 0 (an illegal argument) cannot occur
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise DefinitenessError(f"matrix is not positive definite: {info}-th leading minor "
+                                "of the array is not positive definite")
+    if not b.size:
+        return np.empty_like(b)
+    return dpotrs(factor, b, lower=1)[0]
 
 
 def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
@@ -85,7 +102,7 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
         raise DimensionError(f"phi length {phi.shape} does not match Xi rows {n}")
     if n < 2:
         raise DimensionError("need at least 2 rows to fit 2 variables")
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise DimensionError("phi contains non-finite entries")
 
     sigma, *_ = np.linalg.lstsq(xi, phi, rcond=None)

@@ -92,9 +92,14 @@ class CorrelationSpectrum:
         return self.basis is None
 
     @cached_property
+    def sqrt_eigenvalues(self) -> np.ndarray:
+        """Square roots of the eigenvalues; cached because scenario synthesis reuses them."""
+        return np.sqrt(self.eigenvalues)
+
+    @cached_property
     def sqrt_matrix(self) -> np.ndarray:
         """Dense Psi^(1/2); cached because scenario synthesis reuses it per trial."""
-        root = np.sqrt(self.eigenvalues)
+        root = self.sqrt_eigenvalues
         if self.diagonal:
             return np.diag(root)
         return self.basis @ (root[:, None] * self.basis.T)
@@ -102,7 +107,7 @@ class CorrelationSpectrum:
     def sqrt_apply(self, matrix: np.ndarray) -> np.ndarray:
         """Psi^(1/2) @ matrix without forming the dense square root in the diagonal case."""
         if self.diagonal:
-            return np.sqrt(self.eigenvalues)[:, None] * matrix
+            return self.sqrt_eigenvalues[:, None] * matrix
         return self.sqrt_matrix @ matrix
 
     def matrix(self) -> np.ndarray:

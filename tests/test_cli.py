@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,36 @@ class TestDataIO:
         loaded = read_correlation(path)
         assert loaded.diagonal
         assert np.allclose(loaded.eigenvalues, spec.eigenvalues)
+
+    def test_correlation_bad_cell_after_comments(self, tmp_path):
+        path = tmp_path / "psi.csv"
+        path.write_text("# dense Psi\n\n  \n1.0,0.5\n0.5,x1\n")
+        with pytest.raises(DataFormatError) as err:
+            read_correlation(path)
+        assert str(err.value) == f"{path}:5:2: not a number: 'x1'"
+
+    def test_correlation_diag_after_comment(self, tmp_path):
+        path = tmp_path / "psi.csv"
+        path.write_text("# diagonal Psi\n\ndiag:0.5,2\n")
+        spectrum = read_correlation(path)
+        assert spectrum.diagonal
+        assert np.array_equal(spectrum.eigenvalues, [0.5, 2.0])
+
+    @pytest.mark.parametrize("text", ["# Psi\n1.0,0.5\n0.5,1.0\n", "diag:1,2\n"],
+                             ids=["dense", "diag"])
+    def test_correlation_file_read_once(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "psi.csv"
+        path.write_text(text)
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        read_correlation(path)
+        assert reads == [path]
 
     def test_dense_vs_diag_path_equivalence(self, tmp_path):
         rng = np.random.default_rng(0)

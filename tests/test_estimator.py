@@ -17,6 +17,7 @@ from ridgesnr import (
     ridge_costs,
     ridge_solve,
     sample_truth,
+    spd_solve,
     synthesize,
 )
 from ridgesnr.estimator import COST_BLOCK
@@ -119,6 +120,17 @@ class TestRidgeSolve:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             ridge_solve(random_model(6), 0.0)
+
+    @pytest.mark.parametrize("m, k", [(80, 40), (60, 60), (30, 35)])
+    def test_bits_match_dense_normal_equations(self, m, k):
+        model = random_model(m + k, m, k)
+        for lam in (1e-6, 1e-3, 4e-3, 1.0, 100.0):
+            x_hat = spd_solve(model.gram + lam * np.eye(k), model.wty)
+            resid = model.y - model.design @ x_hat
+            phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
+            solution = ridge_solve(model, lam)
+            assert np.array_equal(solution.x_hat, x_hat)
+            assert solution.phi == phi
 
     def test_resolvent_flip_identity(self):
         # W (W^T W + lam I_K)^-1 = (W W^T + lam I_M)^-1 W, for any lam > 0

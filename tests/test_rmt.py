@@ -414,6 +414,14 @@ class TestCorrelationSpectrum:
         x = rng.standard_normal((9, 5))
         assert np.allclose(diag_spec.sqrt_apply(x), dense_spec.sqrt_apply(x), atol=1e-10)
 
+    def test_sqrt_apply_diagonal_bits(self):
+        rng = np.random.default_rng(13)
+        q = rng.uniform(0.1, 2.0, 80)
+        spec = CorrelationSpectrum.from_diagonal(q)
+        for _ in range(2):  # the second call reads the cached square roots
+            x = rng.standard_normal((80, 40))
+            assert np.array_equal(spec.sqrt_apply(x), np.sqrt(q)[:, None] * x)
+
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(Exception):
             CorrelationSpectrum(eigenvalues=np.ones(2), basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
