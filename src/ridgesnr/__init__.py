@@ -35,11 +35,8 @@ from .harness import (
 from .numerics import nnls_2var, spd_solve, sym_eig
 from .rmt import (
     CorrelationSpectrum,
-    DeterministicEquivalents,
     alpha,
-    coefficients,
     coefficients_grid,
-    solve_delta,
     solve_delta_grid,
 )
 from .scenarios import (
@@ -64,8 +61,7 @@ __all__ = [
     "estimate_from_files", "lambda_sensitivity", "run_scenario",
     "verify_theorem",
     "nnls_2var", "spd_solve", "sym_eig",
-    "CorrelationSpectrum", "DeterministicEquivalents", "alpha",
-    "coefficients", "coefficients_grid", "solve_delta", "solve_delta_grid",
+    "CorrelationSpectrum", "alpha", "coefficients_grid", "solve_delta_grid",
     "CorrelationSpec", "DistributionSpec", "GroundTruth",
     "ScenarioDefinition", "build_correlation", "sample_truth",
     "scenario_catalog", "synthesize",

@@ -96,10 +96,12 @@ def read_vector(path: str | Path) -> np.ndarray:
 def read_correlation(path: str | Path) -> CorrelationSpectrum:
     """Read a correlation matrix, dense or as a single ``diag:`` prefixed row.
 
-    The file is read once; its first data line decides the form.
+    The file is read once; its first data line decides the form; a ``diag:`` row stands alone.
     """
     lines = _data_lines(path)
     if lines and lines[0][1].startswith("diag:"):
+        if len(lines) > 1:
+            raise DataFormatError(f"{path}:{lines[1][0]}: data line after the diag: row")
         lineno, line = lines[0]
         diag = _parse_row(line[len("diag:"):], lineno, str(path))
         try:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .numerics import nnls_2var, spd_solve
-from .rmt import CorrelationSpectrum, coefficients_grid
+from .rmt import CorrelationSpectrum, _penalties, coefficients_grid
 
 __all__ = [
     "LinearModel",
@@ -181,10 +181,7 @@ def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
         raise DimensionError("design must be a matrix")
     if not np.all(np.isfinite(w)):
         raise DimensionError("design contains non-finite entries")
-    lams = np.asarray(lambdas, dtype=float).reshape(-1, 1)
-    for lam in lams[:, 0]:
-        if lam <= 0:
-            raise ValueError(f"lambda must be positive, got {lam}")
+    lams = _penalties(lambdas).reshape(-1, 1)
     m, k = w.shape
     u, s, _ = np.linalg.svd(w, full_matrices=False)
     shrink = lams / (s ** 2 + lams)
@@ -205,8 +202,7 @@ def _validated_grid(lambdas) -> np.ndarray:
     grid = np.array(lambdas, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("need at least 2 penalty values")
-    if np.any(grid <= 0) or not np.all(np.isfinite(grid)):
-        raise ValueError("penalty values must be positive and finite")
+    _penalties(grid)
     if np.unique(grid).size != grid.size:
         raise ValueError("penalty values must be distinct")
     return grid
@@ -220,26 +216,25 @@ class EstimatorPlan:
     the dimensions and the penalty, so they are computed once here, in one
     fixed-point solve for the whole grid; every observation drawn with this
     spectrum and these dimensions then costs only its ridge solves and the
-    2-variable NNLS. ``lambdas`` is stored as the validated grid; it and ``xi``
-    are read-only because every estimate the plan makes shares them.
+    2-variable NNLS. ``lambdas`` is stored as the validated grid; it, ``xi`` and
+    ``fixed_point_iters`` are shared by every estimate, so the arrays are read-only.
     """
 
     spectrum: CorrelationSpectrum
     m: int
     k: int
     lambdas: np.ndarray
-    equivalents: tuple = field(init=False)
     xi: np.ndarray = field(init=False)
+    fixed_point_iters: tuple = field(init=False)
 
     def __post_init__(self):
         _check_dims(self.spectrum, self.m, self.k)
         grid = _validated_grid(self.lambdas)
-        equivs = coefficients_grid(self.spectrum, self.m, self.k, grid)
-        xi = np.array([[e.xi1, e.xi2] for e in equivs])
+        xi, steps = coefficients_grid(self.spectrum, self.m, self.k, grid)
         grid.flags.writeable = xi.flags.writeable = False
         object.__setattr__(self, "lambdas", grid)
-        object.__setattr__(self, "equivalents", equivs)
         object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "fixed_point_iters", tuple(steps.tolist()))
 
     def costs(self, model: LinearModel) -> np.ndarray:
         """Realized normalized ridge cost of ``model`` at each penalty of the plan."""
@@ -255,9 +250,9 @@ class EstimatorPlan:
         sigma, fit_residual = nnls_2var(self.xi, self.costs(model))
         sigma_x2, sigma_n2 = float(sigma[0]), float(sigma[1])
         snr, snr_db = _snr_fields(sigma_x2, sigma_n2)
-        iters = tuple(e.fixed_point_iters for e in self.equivalents)
         return SnrEstimate(sigma_x2_hat=sigma_x2, sigma_n2_hat=sigma_n2, snr_linear=snr,
-                           snr_db=snr_db, fit_residual_norm=fit_residual, fixed_point_iters=iters)
+                           snr_db=snr_db, fit_residual_norm=fit_residual,
+                           fixed_point_iters=self.fixed_point_iters)
 
 
 def estimate_snr(model: LinearModel, lambdas) -> SnrEstimate:

@@ -401,10 +401,10 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
             yield design @ truth.x0 + truth.n
 
     phi_sums = sum(costs.sum(axis=1) for costs in ridge_costs(design, observations(), grid))
+    xi, _ = coefficients_grid(spectrum, m, k, grid)
     rows = []
-    for lam, mc, coeff in zip(grid, phi_sums / config.trials,
-                              coefficients_grid(spectrum, m, k, grid)):
-        predicted = alpha(coeff, signal.implied_variance, noise.implied_variance)
+    for lam, mc, predicted in zip(grid, phi_sums / config.trials,
+                                  alpha(xi, signal.implied_variance, noise.implied_variance)):
         rel = abs(mc - predicted) / predicted if predicted != 0 else abs(mc)
         rows.append((float(lam), float(mc), float(predicted), float(rel)))
     if config.output_path:

@@ -18,13 +18,13 @@ Everything is evaluated in the eigenbasis of Psi, so no M x M resolvent is
 ever materialized. ``solve_delta_grid`` solves a whole penalty grid together,
 one row of a (penalties x eigenvalues) array per penalty: Picard iteration for
 up to ``PICARD_STEPS`` steps, then Newton's method where the map contracts
-slowly (square systems at small penalties). ``solve_delta`` and
-``coefficients`` run the grid path on a grid of one.
+slowly (square systems at small penalties). Newton needs no bracket: g(d) =
+d - F(d) is convex with g(0) < 0, so from at or above the root it descends
+without overshooting. ``coefficients_grid`` returns the rows (xi1, xi2) of Xi.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,10 +33,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DefinitenessError, DimensionError
 from .numerics import sym_eig
 
-__all__ = [
-    "CorrelationSpectrum", "DeterministicEquivalents", "solve_delta", "solve_delta_grid",
-    "coefficients", "coefficients_grid", "alpha",
-]
+__all__ = ["CorrelationSpectrum", "solve_delta_grid", "coefficients_grid", "alpha"]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -141,20 +138,6 @@ class CorrelationSpectrum:
         return cls(eigenvalues=np.asarray(diag, dtype=float), basis=None)
 
 
-@dataclass(frozen=True)
-class DeterministicEquivalents:
-    """Per-lambda bundle of deterministic quantities consumed by the estimator;
-    ``fixed_point_iters`` counts the Picard and Newton steps of its fixed point."""
-
-    lam: float
-    t: float
-    delta: float
-    trace_psi_t: float
-    xi1: float
-    xi2: float
-    fixed_point_iters: int
-
-
 def _psi_t(q: np.ndarray, t, delta):
     """sum_i q_i / (1 + c q_i), c = t / (1 + t delta), per (t, delta) pair; each sum
     runs along a contiguous last axis, so it has the bits of a 1-D sum."""
@@ -172,11 +155,12 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     keeps its first iterate with |F(delta) - delta| <= tol * max(F(delta), 1).
     The t still open after ``PICARD_STEPS`` steps (Picard's rate nears 1 on
     square systems) finish with Newton on the convex g(d) = d - F(d), from the
-    last Picard iterate, bisecting a step that leaves the t's bracket [lo, hi]
-    (first [0, last iterate]); a step of at most tol * max(delta, 1) ends with
-    delta minus that step. g is evaluated as d B - (1 - B) / t, B = (K - M +
-    sum_i 1 / (1 + c q_i)) / K, a sum of positive terms near M = K, where
-    d - F(d) cancels and would leave the root up to 1e-12 relative off.
+    last Picard iterate, at or above the root; g(0) < 0, so g rises from the
+    root on and Newton descends to it without overshooting. A step of at most
+    tol * max(delta, 1) ends with delta minus that step. g is evaluated as
+    d B - (1 - B) / t, B = (K - M + sum_i 1 / (1 + c q_i)) / K, a sum of positive
+    terms near M = K, where d - F(d) cancels and would leave the root up to
+    1e-12 relative off.
 
     ``max_iter`` bounds both phases together; ConvergenceError names the first
     t that uses it up. Returns arrays (delta, steps taken) over ``ts``, with
@@ -188,30 +172,26 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     q = spectrum.eigenvalues
-    delta = hi = np.full(ts.size, float(q.sum()) / K)
+    delta = np.full(ts.size, float(q.sum()) / K)
     deltas, steps = delta.copy(), np.zeros(ts.size, dtype=int)
-    todo, t, lo = np.arange(ts.size), ts, np.zeros(ts.size)
+    todo, t = np.arange(ts.size), ts
     for iteration in range(1, max_iter + 1):
         if not todo.size:
             break
         if iteration <= PICARD_STEPS:
-            # the iterates decrease, so the last bounds Newton's bracket above
-            nxt = hi = _psi_t(q, t, delta) / K
+            nxt = _psi_t(q, t, delta) / K
             done = np.abs(nxt - delta) <= tol * np.maximum(nxt, 1.0)
         else:
             c = t / (1.0 + t * delta)
             u = 1.0 / (1.0 + np.multiply.outer(c, q))
             b = (K - q.size + np.sum(u, axis=1)) / K
             gap = delta * b - (1.0 - b) / t
-            hi, lo = np.where(gap > 0, delta, hi), np.where(gap > 0, lo, delta)
-            slope = 1.0 - c * c * np.sum((q * u) ** 2, axis=1) / K
-            step = np.divide(gap, slope, out=np.full(todo.size, math.inf), where=slope > 0)
+            step = gap / (1.0 - c * c * np.sum((q * u) ** 2, axis=1) / K)
             nxt = delta - step
             done = np.abs(step) <= tol * np.maximum(delta, 1.0)
-            nxt = np.where(done | ((lo < nxt) & (nxt < hi)), nxt, 0.5 * (lo + hi))
         if done.any():  # retire the converged t
             deltas[todo[done]], steps[todo[done]] = nxt[done], iteration
-            todo, t, nxt, lo, hi = (a[~done] for a in (todo, t, nxt, lo, hi))
+            todo, t, nxt = (a[~done] for a in (todo, t, nxt))
         delta = nxt
     if todo.size:
         t, last = ts[todo[0]], delta[0]
@@ -222,35 +202,32 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     return deltas, steps
 
 
-def solve_delta(spectrum: CorrelationSpectrum, K: int, t: float,
-                tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, int]:
-    """(delta, steps taken) at one t: :func:`solve_delta_grid` on the grid [t]."""
-    return tuple(a.item() for a in solve_delta_grid(spectrum, K, [t], tol, max_iter))
+def _penalties(lambdas) -> np.ndarray:
+    """``lambdas`` as a float array whose every entry is checked positive and finite."""
+    lams = np.asarray(lambdas, dtype=float)
+    bad = ~(np.isfinite(lams) & (lams > 0))
+    if bad.any():
+        raise ValueError(f"lambda must be positive and finite, got {lams[bad][0]}")
+    return lams
 
 
 def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,
-                      lambdas) -> tuple[DeterministicEquivalents, ...]:
-    """Coefficients (xi1, xi2) of the predicted cost at every penalty of ``lambdas``."""
-    lams = np.asarray(lambdas, dtype=float)
-    if np.any(lams <= 0):
-        raise ValueError(f"lambda must be positive, got {lams[lams <= 0][0]}")
+                      lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """Xi, the (penalties, 2) array of coefficients (xi1, xi2) of the predicted cost
+    at every penalty of ``lambdas``, and the fixed-point steps each penalty took."""
+    lams = _penalties(lambdas)
     if spectrum.dim != M:
         raise DimensionError(f"spectrum dim {spectrum.dim} != M = {M}")
     t = K / lams
-    delta, iters = solve_delta_grid(spectrum, K, t)
+    delta, steps = solve_delta_grid(spectrum, K, t)
     tr = _psi_t(spectrum.eigenvalues, t, delta)
     denom = 1.0 + t * delta
-    columns = (lams, t, delta, tr, tr / denom, M / K - t * tr / (K * denom), iters)
-    return tuple(DeterministicEquivalents(*row) for row in zip(*(c.tolist() for c in columns)))
+    return np.stack([tr / denom, M / K - t * tr / (K * denom)], axis=1), steps
 
 
-def coefficients(spectrum: CorrelationSpectrum, M: int, K: int, lam: float) -> DeterministicEquivalents:
-    """Deterministic coefficients (xi1, xi2) of the predicted cost at penalty ``lam``."""
-    return coefficients_grid(spectrum, M, K, [lam])[0]
-
-
-def alpha(coeffs: DeterministicEquivalents, sigma_x2: float, sigma_n2: float) -> float:
-    """Predicted normalized ridge cost for the given signal and noise variances."""
+def alpha(xi: np.ndarray, sigma_x2: float, sigma_n2: float) -> np.ndarray:
+    """Predicted normalized ridge cost at every row (xi1, xi2) of ``xi`` for the given
+    signal and noise variances."""
     if sigma_x2 < 0 or sigma_n2 < 0:
         raise ValueError("variances must be nonnegative")
-    return coeffs.xi1 * sigma_x2 + coeffs.xi2 * sigma_n2
+    return xi[:, 0] * sigma_x2 + xi[:, 1] * sigma_n2

@@ -17,13 +17,12 @@ import pytest
 from ridgesnr import (
     CorrelationSpectrum,
     RunConfig,
-    coefficients,
     dim_sweep,
     lambda_sensitivity,
     nnls_2var,
     run_scenario,
     scenario_catalog,
-    solve_delta,
+    solve_delta_grid,
     verify_theorem,
 )
 from test_estimator import ratio_bias_terms
@@ -99,7 +98,7 @@ def test_criterion_1_closed_form_fixed_point():
     for m in (40, 100):
         spec = CorrelationSpectrum.from_diagonal(np.ones(m))
         for t in (0.1, 1.0, 10.0):
-            delta, _ = solve_delta(spec, m, t)
+            (delta,), _ = solve_delta_grid(spec, m, [t])
             closed = (math.sqrt(1.0 + 4.0 * t) - 1.0) / (2.0 * t)
             worst = max(worst, abs(delta - closed))
     elapsed = time.monotonic() - start
@@ -119,8 +118,10 @@ def test_criterion_2_trace_identity():
         q[0] = max(q[0], 0.1)
         spec = CorrelationSpectrum.from_diagonal(q)
         t = float(10.0 ** rng.uniform(-3, 3))
-        coeff = coefficients(spec, m, k, k / t)
-        rel = abs(coeff.trace_psi_t - k * coeff.delta) / (k * coeff.delta)
+        (delta,), _ = solve_delta_grid(spec, k, [t])
+        c = t / (1.0 + t * delta)
+        trace = float(np.sum(q / (1.0 + c * q)))
+        rel = abs(trace - k * delta) / (k * delta)
         worst = max(worst, rel)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed < 5.0

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,10 +97,21 @@ class TestDataIO:
 
     def test_correlation_diag_after_comment(self, tmp_path):
         path = tmp_path / "psi.csv"
-        path.write_text("# diagonal Psi\n\ndiag:0.5,2\n")
+        path.write_text("# diagonal Psi\n\n  \ndiag:0.5,2\n\n# end of file\n")
         spectrum = read_correlation(path)
         assert spectrum.diagonal
         assert np.array_equal(spectrum.eigenvalues, [0.5, 2.0])
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("diag:1,2\n3,4,5\n", 2),
+        ("# Psi\n\ndiag:1,2\n# stray row\n\n3,4\n1,1\n", 6),
+    ], ids=["next-line", "after-comments"])
+    def test_correlation_data_line_after_diag_rejected(self, tmp_path, text, lineno):
+        path = tmp_path / "psi.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            read_correlation(path)
+        assert str(err.value) == f"{path}:{lineno}: data line after the diag: row"
 
     @pytest.mark.parametrize("text", ["# Psi\n1.0,0.5\n0.5,1.0\n", "diag:1,2\n"],
                              ids=["dense", "diag"])
@@ -297,6 +309,14 @@ class TestCliRuns:
         code = cli.main(["scenario", "a", "--trials", "2", "--snr-db", "10",
                          "--parallelism", "zero"])
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_penalty_exits_config_error(self, capsys, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify-theorem", "--lambdas", f"{bad},1", "--trials", "2"])
+        assert code == 2
+        assert f"lambda must be positive and finite, got {bad}" in capsys.readouterr().err
 
     def test_one_penalty_grid_exits_config_error(self, tmp_path, capsys):
         # rejected like a repeated or nonpositive penalty, not logged per block

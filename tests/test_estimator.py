@@ -11,6 +11,7 @@ from ridgesnr import (
     EstimatorPlan,
     LinearModel,
     build_correlation,
+    coefficients_grid,
     derive_rng,
     estimate_snr,
     ml_baseline,
@@ -172,7 +173,7 @@ class TestRidgeCosts:
         assert [block.shape for block in blocks] == [(2, COST_BLOCK), (2, 3)]
         assert blocks[1][1, 2] == pytest.approx(ridge_solve(models[-1], 2.0).phi, rel=1e-10)
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_lambda(self, lam):
         model = random_model(6)
         with pytest.raises(ValueError, match="lambda must be positive"):
@@ -298,8 +299,9 @@ class TestSolveSystem:
         sigma = np.array([estimate.sigma_x2_hat, estimate.sigma_n2_hat])
         assert estimate.fit_residual_norm == pytest.approx(
             np.linalg.norm(plan.costs(model) - plan.xi @ sigma))
-        assert estimate.fixed_point_iters == tuple(
-            e.fixed_point_iters for e in plan.equivalents)
+        assert estimate.fixed_point_iters is plan.fixed_point_iters
+        assert plan.fixed_point_iters == tuple(
+            int(coefficients_grid(model.spectrum, 40, 20, [lam])[1][0]) for lam in plan.lambdas)
 
 
 class TestEstimateSnr:

@@ -10,9 +10,7 @@ from ridgesnr import (
     CorrelationSpectrum,
     DefinitenessError,
     alpha,
-    coefficients,
     coefficients_grid,
-    solve_delta,
     solve_delta_grid,
 )
 from ridgesnr.rmt import PICARD_STEPS
@@ -114,14 +112,14 @@ class TestSolveDelta:
     @pytest.mark.parametrize("m", [40, 100])
     def test_closed_form_identity_spectrum(self, m, t):
         spec = CorrelationSpectrum.from_diagonal(np.ones(m))
-        delta, _ = solve_delta(spec, m, t)
+        (delta,), _ = solve_delta_grid(spec, m, [t])
         assert delta == pytest.approx(closed_form_delta(t), abs=1e-10)
 
     def test_small_t_collapses_to_normalized_trace(self):
         rng = np.random.default_rng(0)
         q = rng.uniform(0.0, 1.0, 50)
         spec = CorrelationSpectrum.from_diagonal(q)
-        delta, iters = solve_delta(spec, 20, 1e-12)
+        (delta,), (iters,) = solve_delta_grid(spec, 20, [1e-12])
         assert delta == pytest.approx(q.sum() / 20, rel=1e-9)
         assert iters <= 2
 
@@ -129,7 +127,7 @@ class TestSolveDelta:
         rng = np.random.default_rng(1)
         q = rng.uniform(0.0, 1.0, 120)
         spec = CorrelationSpectrum.from_diagonal(q)
-        delta, _ = solve_delta(spec, 40, 7.0)
+        (delta,), _ = solve_delta_grid(spec, 40, [7.0])
         assert delta == pytest.approx(bisection_delta(q, 40, 7.0), abs=1e-10)
 
     def test_uniqueness_guard_hundred_spectra(self):
@@ -137,7 +135,7 @@ class TestSolveDelta:
         for _ in range(100):
             spec, k = random_spectrum(rng)
             t = float(10.0 ** rng.uniform(-3, 3))
-            delta, _ = solve_delta(spec, k, t, tol=1e-12)
+            (delta,), _ = solve_delta_grid(spec, k, [t], tol=1e-12)
             oracle = bisection_delta(spec.eigenvalues, k, t)
             assert delta == pytest.approx(oracle, abs=1e-11 * max(1.0, oracle))
 
@@ -146,7 +144,7 @@ class TestSolveDelta:
         for _ in range(20):
             spec, k = random_spectrum(rng)
             t = float(10.0 ** rng.uniform(-3, 3))
-            delta, _ = solve_delta(spec, k, t, tol=1e-12)
+            (delta,), _ = solve_delta_grid(spec, k, [t], tol=1e-12)
             resid = abs(delta - fixed_point_map(spec.eigenvalues, k, t, delta))
             assert resid <= 1e-12 * max(delta, 1.0)
 
@@ -155,27 +153,27 @@ class TestSolveDelta:
         q = rng.uniform(0.0, 1.0, 80)
         spec = CorrelationSpectrum.from_diagonal(q)
         ts = np.logspace(-3, 3, 25)
-        deltas = [solve_delta(spec, 40, t)[0] for t in ts]
+        deltas = [solve_delta_grid(spec, 40, [t])[0][0] for t in ts]
         assert np.all(np.diff(deltas) < 0)
 
     def test_positive(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             spec, k = random_spectrum(rng)
-            delta, _ = solve_delta(spec, k, float(10.0 ** rng.uniform(-3, 3)))
+            (delta,), _ = solve_delta_grid(spec, k, [float(10.0 ** rng.uniform(-3, 3))])
             assert delta > 0
 
     def test_iteration_cap_raises_with_last_iterate(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(40))
         with pytest.raises(ConvergenceError) as err:
-            solve_delta(spec, 40, 1.0, tol=1e-12, max_iter=2)
+            solve_delta_grid(spec, 40, [1.0], tol=1e-12, max_iter=2)
         assert err.value.last_iterate is not None
         assert err.value.residual is not None
 
     def test_rejects_nonpositive_t(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(4))
         with pytest.raises(ValueError):
-            solve_delta(spec, 4, 0.0)
+            solve_delta_grid(spec, 4, [0.0])
 
 
 class TestSquareSystems:
@@ -192,12 +190,13 @@ class TestSquareSystems:
     def test_converges_to_the_root(self, psi, m, grid):
         spec = self.SPECTRA[psi](m)
         for lam in grid:
-            coeff = coefficients(spec, m, m, lam)
-            assert coeff.fixed_point_iters <= PICARD_STEPS + 30
-            oracle = mpmath_delta(spec.eigenvalues, m, coeff.t)
-            assert coeff.delta == pytest.approx(oracle, rel=1e-13, abs=0.0)
-            resid = abs(coeff.delta - fixed_point_map(spec.eigenvalues, m, coeff.t, coeff.delta))
-            assert resid <= 1e-12 * max(coeff.delta, 1.0)
+            t = m / lam
+            (delta,), (iters,) = solve_delta_grid(spec, m, [t])
+            assert iters <= PICARD_STEPS + 30
+            oracle = mpmath_delta(spec.eigenvalues, m, t)
+            assert delta == pytest.approx(oracle, rel=1e-13, abs=0.0)
+            resid = abs(delta - fixed_point_map(spec.eigenvalues, m, t, delta))
+            assert resid <= 1e-12 * max(delta, 1.0)
 
     @pytest.mark.parametrize("grid", [TINY_GRID, DEFAULT_GRID], ids=["1e-6", "default"])
     def test_rank_deficient_psi_with_rank_k(self, grid):
@@ -206,24 +205,24 @@ class TestSquareSystems:
         b = np.random.default_rng(13).standard_normal((m, k))
         spec = CorrelationSpectrum.from_matrix(b @ b.T / m)
         for lam in grid:
-            delta, iters = solve_delta(spec, k, k / lam)
+            (delta,), (iters,) = solve_delta_grid(spec, k, [k / lam])
             assert iters <= PICARD_STEPS + 30
             assert delta == pytest.approx(mpmath_delta(spec.eigenvalues, k, k / lam), rel=1e-12)
 
     def test_newton_phase_keeps_the_residual_contract(self):
         spec = exponential_spectrum(60)
         for tol in (1e-12, 1e-9, 1e-6):
-            delta, iters = solve_delta(spec, 60, 60 / 1e-6, tol=tol)
+            (delta,), (iters,) = solve_delta_grid(spec, 60, [60 / 1e-6], tol=tol)
             assert iters > PICARD_STEPS
             resid = abs(delta - fixed_point_map(spec.eigenvalues, 60, 60 / 1e-6, delta))
             assert resid <= tol * max(delta, 1.0)
 
     def test_max_iter_bounds_both_phases(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(30))
-        _, iters = solve_delta(spec, 30, 30 / 1e-6)
+        _, (iters,) = solve_delta_grid(spec, 30, [30 / 1e-6])
         assert iters > PICARD_STEPS + 1
         with pytest.raises(ConvergenceError) as err:
-            solve_delta(spec, 30, 30 / 1e-6, max_iter=PICARD_STEPS + 1)
+            solve_delta_grid(spec, 30, [30 / 1e-6], max_iter=PICARD_STEPS + 1)
         assert err.value.last_iterate > closed_form_delta(30 / 1e-6)
 
     def test_picard_result_is_returned_unchanged(self):
@@ -232,7 +231,7 @@ class TestSquareSystems:
         spec = CorrelationSpectrum.from_diagonal(q)
         for lam in (1e-6, *DEFAULT_GRID, 1.0):
             t = 40 / lam
-            delta, iters = solve_delta(spec, 40, t)
+            (delta,), (iters,) = solve_delta_grid(spec, 40, [t])
             assert (delta, iters) == per_penalty_delta(q, 40, t)
             assert iters <= PICARD_STEPS
 
@@ -296,12 +295,6 @@ class TestGridSolver:
             (expected.last_iterate, expected.residual)
         assert f"lambda={k / t:g}, t={t:g}," in str(err.value)
 
-    def test_coefficients_grid_matches_one_penalty_calls(self):
-        spec = exponential_spectrum(80)
-        grid = (1e-6, *DEFAULT_GRID, 1.0)
-        assert coefficients_grid(spec, 80, 40, grid) == \
-            tuple(coefficients(spec, 80, 40, lam) for lam in grid)
-
 
 class TestTraceFunctional:
     def test_identity_spectrum_closed_form(self):
@@ -309,9 +302,10 @@ class TestTraceFunctional:
         spec = CorrelationSpectrum.from_diagonal(np.ones(m))
         delta = closed_form_delta(1.0)
         expected = m / (1.0 + 1.0 / (1.0 + delta))
-        coeff = coefficients(spec, m, m, lam=float(m))  # t = 1
-        assert coeff.trace_psi_t == pytest.approx(expected, rel=1e-12)
-        assert coeff.trace_psi_t == pytest.approx(m * coeff.delta, rel=1e-9)
+        (solved,), _ = solve_delta_grid(spec, m, [1.0])
+        trace = m * fixed_point_map(spec.eigenvalues, m, 1.0, solved)
+        assert trace == pytest.approx(expected, rel=1e-12)
+        assert trace == pytest.approx(m * solved, rel=1e-9)
         assert expected == pytest.approx(m * delta, rel=1e-9)
 
     def test_trace_identity_random_spectra(self):
@@ -319,70 +313,81 @@ class TestTraceFunctional:
         for _ in range(50):
             spec, k = random_spectrum(rng)
             t = float(10.0 ** rng.uniform(-3, 3))
-            coeff = coefficients(spec, spec.dim, k, k / t)
-            assert coeff.trace_psi_t == pytest.approx(k * coeff.delta, rel=1e-9)
+            (delta,), _ = solve_delta_grid(spec, k, [t])
+            trace = k * fixed_point_map(spec.eigenvalues, k, t, delta)
+            assert trace == pytest.approx(k * delta, rel=1e-9)
 
 
 class TestCoefficients:
     def test_identity_spectrum_values(self):
         k = 40
         spec = CorrelationSpectrum.from_diagonal(np.ones(k))
-        coeff = coefficients(spec, k, k, lam=float(k))  # t = 1
-        assert coeff.t == pytest.approx(1.0)
-        assert coeff.xi1 == pytest.approx(k * 0.381966, abs=k * 1e-6)
-        assert coeff.xi2 == pytest.approx(0.618034, abs=1e-6)
+        (xi1, xi2), = coefficients_grid(spec, k, k, [float(k)])[0]  # t = 1
+        assert xi1 == pytest.approx(k * 0.381966, abs=k * 1e-6)
+        assert xi2 == pytest.approx(0.618034, abs=1e-6)
 
     def test_large_lambda_limits(self):
         rng = np.random.default_rng(8)
         q = rng.uniform(0.0, 1.0, 90)
         spec = CorrelationSpectrum.from_diagonal(q)
-        coeff = coefficients(spec, 90, 30, lam=1e12)
-        assert coeff.xi1 == pytest.approx(q.sum(), rel=1e-9)
-        assert coeff.xi2 == pytest.approx(3.0, rel=1e-9)
+        (xi1, xi2), = coefficients_grid(spec, 90, 30, [1e12])[0]
+        assert xi1 == pytest.approx(q.sum(), rel=1e-9)
+        assert xi2 == pytest.approx(3.0, rel=1e-9)
 
     def test_xi2_bounds(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             spec, k = random_spectrum(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
-            coeff = coefficients(spec, spec.dim, k, lam)
-            assert 0.0 < coeff.xi2 <= spec.dim / k + 1e-12
+            (_, xi2), = coefficients_grid(spec, spec.dim, k, [lam])[0]
+            assert 0.0 < xi2 <= spec.dim / k + 1e-12
 
     def test_records_fixed_point_iterations(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(40))
-        coeff = coefficients(spec, 40, 40, lam=40.0)
-        assert coeff.fixed_point_iters >= 1
+        _, (iters,) = coefficients_grid(spec, 40, 40, [40.0])
+        assert iters >= 1
 
     def test_rejects_nonpositive_lambda(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(4))
         with pytest.raises(ValueError):
-            coefficients(spec, 4, 4, lam=0.0)
+            coefficients_grid(spec, 4, 4, [0.0])
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda must be positive and finite"):
+                coefficients_grid(spec, 4, 4, [1.0, lam])
 
 
 class TestAlpha:
     def test_zero_variances(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(8))
-        coeff = coefficients(spec, 8, 8, lam=1.0)
-        assert alpha(coeff, 0.0, 0.0) == 0.0
+        xi, _ = coefficients_grid(spec, 8, 8, [1.0])
+        assert alpha(xi, 0.0, 0.0).tolist() == [0.0]
 
     def test_large_lambda_limit_value(self):
         rng = np.random.default_rng(10)
         q = rng.uniform(0.0, 1.0, 60)
         spec = CorrelationSpectrum.from_diagonal(q)
-        coeff = coefficients(spec, 60, 20, lam=1e12)
-        assert alpha(coeff, 2.0, 3.0) == pytest.approx(q.sum() * 2.0 + 3.0 * 3.0, rel=1e-9)
+        xi, _ = coefficients_grid(spec, 60, 20, [1e12])
+        assert alpha(xi, 2.0, 3.0)[0] == pytest.approx(q.sum() * 2.0 + 3.0 * 3.0, rel=1e-9)
 
     def test_linear_in_variances(self):
         spec = CorrelationSpectrum.from_diagonal(np.linspace(0.1, 1.0, 24))
-        coeff = coefficients(spec, 24, 12, lam=0.37)
-        base = alpha(coeff, 1.3, 0.7)
-        assert alpha(coeff, 2 * 1.3, 2 * 0.7) == pytest.approx(2 * base, rel=1e-15)
+        xi, _ = coefficients_grid(spec, 24, 12, [0.37])
+        (base,) = alpha(xi, 1.3, 0.7)
+        assert alpha(xi, 2 * 1.3, 2 * 0.7)[0] == pytest.approx(2 * base, rel=1e-15)
 
     def test_rejects_negative_variance(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(4))
-        coeff = coefficients(spec, 4, 4, lam=1.0)
+        xi, _ = coefficients_grid(spec, 4, 4, [1.0])
         with pytest.raises(ValueError):
-            alpha(coeff, -1.0, 0.0)
+            alpha(xi, -1.0, 0.0)
+
+    def test_rows_equal_the_scalar_prediction_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            spec, k = random_spectrum(rng)
+            xi, _ = coefficients_grid(spec, spec.dim, k, 10.0 ** rng.uniform(-7, 3, 6))
+            sx, sn = (float(v) for v in rng.uniform(0.0, 5.0, 2))
+            assert alpha(xi, sx, sn).tolist() == [xi1 * sx + xi2 * sn for xi1, xi2 in xi.tolist()]
 
 
 class TestCorrelationSpectrum:
