@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .numerics import nnls_2var, spd_solve
-from .rmt import CorrelationSpectrum, _penalties, coefficients_grid
+from .rmt import CorrelationSpectrum, _positive_finite, coefficients_grid
 
 __all__ = [
     "LinearModel",
@@ -181,7 +181,7 @@ def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
         raise DimensionError("design must be a matrix")
     if not np.all(np.isfinite(w)):
         raise DimensionError("design contains non-finite entries")
-    lams = _penalties(lambdas).reshape(-1, 1)
+    lams = _positive_finite(lambdas, "lambda").reshape(-1, 1)
     m, k = w.shape
     u, s, _ = np.linalg.svd(w, full_matrices=False)
     shrink = lams / (s ** 2 + lams)
@@ -202,7 +202,7 @@ def _validated_grid(lambdas) -> np.ndarray:
     grid = np.array(lambdas, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("need at least 2 penalty values")
-    _penalties(grid)
+    _positive_finite(grid, "lambda")
     if np.unique(grid).size != grid.size:
         raise ValueError("penalty values must be distinct")
     return grid

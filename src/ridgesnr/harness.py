@@ -14,6 +14,10 @@ SeedSequence(entropy=master_seed, spawn_key=stream_key). Stream keys are
 and the diag-uniform correlation draw uses the bare master seed. Results are
 therefore identical for any trial schedule, and the CSV emitted by a run is
 byte-identical across parallelism settings.
+
+Each sweep point maps its trial ranges in order: a serial run maps one range
+of every trial with the builtin ``map``, and a pooled one (``parallelism`` > 1,
+at least two trials per worker) maps about four ranges per worker on the pool.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -233,34 +239,6 @@ def _run_trial_block(block, definition: ScenarioDefinition, snr_db: float,
     return out
 
 
-def _worker_count(config: RunConfig) -> int:
-    if config.parallelism is not None:
-        return config.parallelism
-    return max(1, min(8, os.cpu_count() or 1))
-
-
-def _run_point(executor, config: RunConfig, block, definition, snr_db: float,
-               key_prefix: tuple[int, ...]) -> np.ndarray:
-    """All trials for one sweep point, either inline or on the pool."""
-    trials = config.trials
-    workers = _worker_count(config)
-    if executor is None or workers == 1 or trials < 2 * workers:
-        return _run_trial_block(block, definition, snr_db, config.master_seed, key_prefix,
-                                0, trials)
-    chunk = max(1, math.ceil(trials / (4 * workers)))
-    futures = []
-    for lo in range(0, trials, chunk):
-        hi = min(trials, lo + chunk)
-        futures.append((lo, executor.submit(
-            _run_trial_block, block, definition, snr_db, config.master_seed, key_prefix,
-            lo, hi)))
-    out = np.full((trials, 4), math.nan)
-    for lo, fut in futures:
-        block = fut.result()
-        out[lo:lo + block.shape[0]] = block
-    return out
-
-
 def _correlation_for(definition: ScenarioDefinition, m: int, seed: int) -> CorrelationSpectrum:
     spec = definition.correlation
     if spec.dim != m or (spec.kind == "diag_uniform" and spec.seed is None):
@@ -292,9 +270,14 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     spectra: dict[int, CorrelationSpectrum] = {}
     rows: list[MetricsRow] = []
     records: list[TrialRecord] = []
-    workers = _worker_count(config)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    trials = config.trials
+    workers = config.parallelism or min(8, os.cpu_count() or 1)
+    pooled = workers > 1 and trials >= 2 * workers
+    size = math.ceil(trials / (4 * workers)) if pooled else trials
+    los = range(0, trials, size)
+    his = [min(trials, lo + size) for lo in los]
+    with ProcessPoolExecutor(workers) if pooled else nullcontext() as pool:
+        run = pool.map if pooled else map
         for m, k, grid, label, key_prefix in blocks:
             if m not in spectra:
                 spectra[m] = _correlation_for(definition, m, config.master_seed)
@@ -305,15 +288,13 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
                             m, k, exc)
                 plan = None
             for point_idx, snr_db in enumerate(points):
-                sigmas = _run_point(pool, config, (spectra[m], m, k, plan), definition, snr_db,
-                                    (*key_prefix, point_idx))
+                task = partial(_run_trial_block, (spectra[m], m, k, plan), definition, snr_db,
+                               config.master_seed, (*key_prefix, point_idx))
+                sigmas = np.concatenate(list(run(task, los, his)))
                 rows.append(_aggregate(snr_db, "proposed", m, k, sigmas[:, :2], label))
                 rows.append(_aggregate(snr_db, "ml", m, k, sigmas[:, 2:], label))
                 if config.dump_trials:
                     records.extend(_trial_records(sigmas, snr_db, m, k, label))
-    finally:
-        if pool is not None:
-            pool.shutdown()
     _write_outputs(config, rows, records)
     return rows
 

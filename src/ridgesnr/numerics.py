@@ -3,21 +3,18 @@ exact two-variable nonnegative least-squares solver.
 
 The eigendecomposition and the SPD solve are thin validated fronts over
 LAPACK; the NNLS solver is specialized to two unknowns and solved exactly, by
-one unconstrained fit or else by enumerating the four possible active sets.
+one unconstrained fit or else by enumerating the other active sets.
 
-The SPD solve calls LAPACK ``potrf``/``potrs`` directly, the two routines that
-``scipy.linalg.cho_factor``/``cho_solve`` end in, so its bits are theirs. A
-sweep makes five 40x40 solves per trial, and those wrappers' batch handling,
-array-namespace lookup and per-call routine lookup cost about as much as the
-arithmetic itself at that size.
+The SPD solve makes one LAPACK ``posv`` call, ``potrf`` then ``potrs``: the
+routines ``scipy.linalg.cho_factor``/``cho_solve`` end in, so its bits are
+theirs. A sweep makes five 40x40 solves per trial, and those wrappers' batch
+handling and per-call lookups cost about as much as the arithmetic at that size.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
 from .exceptions import DefinitenessError, DimensionError
 
@@ -56,11 +53,10 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
 def spd_solve(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A via Cholesky.
 
-    LAPACK ``dpotrf`` factors a copy of A as L L^T from its lower triangle and
-    ``dpotrs`` solves with the factor: the calls ``scipy.linalg.cho_factor(a,
-    lower=True)`` and ``cho_solve`` make, with the same bits, minus their
-    per-call dispatch. ``b`` is one right-hand side or a matrix of them; A and
-    b are left unchanged.
+    LAPACK ``dposv`` factors a copy of A as L L^T from its lower triangle and
+    solves with it: the ``dpotrf`` and ``dpotrs`` calls of ``scipy.linalg.cho_factor(a,
+    lower=True)`` and ``cho_solve``, with their bits, minus their per-call dispatch.
+    ``b`` is one right-hand side or a matrix of them; A and b are left unchanged.
     """
     a = _as_matrix(a)
     b = np.asarray(b, dtype=float)
@@ -70,14 +66,14 @@ def spd_solve(a, b) -> np.ndarray:
         raise DimensionError(f"right-hand side must be a vector or a matrix, got ndim={b.ndim}")
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"right-hand side length {b.shape[0]} != matrix order {a.shape[0]}")
-    # the wrappers check every shape, so info < 0 (an illegal argument) cannot occur
-    factor, info = dpotrf(a, lower=1, clean=0)
+    if not a.size:  # dposv rejects a 0x0 system
+        return np.empty_like(b)
+    # the wrapper checks every shape, so info < 0 (an illegal argument) cannot occur
+    _, x, info = dposv(a, b, lower=1)
     if info > 0:
         raise DefinitenessError(f"matrix is not positive definite: {info}-th leading minor "
                                 "of the array is not positive definite")
-    if not b.size:
-        return np.empty_like(b)
-    return dpotrs(factor, b, lower=1)[0]
+    return x
 
 
 def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
@@ -86,8 +82,8 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
     Solved exactly: the optimum of this convex QP zeroes some subset of the
     variables and solves unconstrained least squares over the rest. A
     nonnegative unconstrained solution is therefore the optimum and is returned
-    at once; otherwise enumerating the four candidate active sets and keeping
-    the feasible one with the smallest objective is exhaustive. Rank-deficient
+    at once; otherwise keeping the feasible one of the other three candidates
+    (x only, n only, zero) with the smallest objective is exhaustive. Rank-deficient
     subproblems fall back to the minimum-norm solution; the all-zero candidate
     is always feasible, so the solver never fails.
 
@@ -110,9 +106,8 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
         return sigma, float(np.linalg.norm(phi - xi @ sigma))
     best_sigma = None
     best_obj = np.inf
-    for zeroed in product((False, True), repeat=2):
+    for free in ([0], [1], []):
         sigma = np.zeros(2)
-        free = [j for j in range(2) if not zeroed[j]]
         if free:
             sol, *_ = np.linalg.lstsq(xi[:, free], phi, rcond=None)
             sigma[free] = sol

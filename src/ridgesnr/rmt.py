@@ -145,6 +145,15 @@ def _psi_t(q: np.ndarray, t, delta):
     return (q / (1.0 + np.multiply.outer(c, q))).sum(axis=-1)
 
 
+def _positive_finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array whose every entry is checked positive and finite."""
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values > 0))
+    if bad.any():
+        raise ValueError(f"{name} must be positive and finite, got {values[bad][0]}")
+    return values
+
+
 def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
     """Solve delta = F(delta) = (1/K) sum_i q_i / (1 + c q_i), c = t / (1 + t delta),
@@ -166,9 +175,7 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     t that uses it up. Returns arrays (delta, steps taken) over ``ts``, with
     |delta - F(delta)| <= tol * max(delta, 1).
     """
-    ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0):
-        raise ValueError(f"t must be positive, got {ts[ts <= 0][0]}")
+    ts = _positive_finite(ts, "t")
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     q = spectrum.eigenvalues
@@ -202,20 +209,11 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     return deltas, steps
 
 
-def _penalties(lambdas) -> np.ndarray:
-    """``lambdas`` as a float array whose every entry is checked positive and finite."""
-    lams = np.asarray(lambdas, dtype=float)
-    bad = ~(np.isfinite(lams) & (lams > 0))
-    if bad.any():
-        raise ValueError(f"lambda must be positive and finite, got {lams[bad][0]}")
-    return lams
-
-
 def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,
                       lambdas) -> tuple[np.ndarray, np.ndarray]:
     """Xi, the (penalties, 2) array of coefficients (xi1, xi2) of the predicted cost
     at every penalty of ``lambdas``, and the fixed-point steps each penalty took."""
-    lams = _penalties(lambdas)
+    lams = _positive_finite(lambdas, "lambda")
     if spectrum.dim != M:
         raise DimensionError(f"spectrum dim {spectrum.dim} != M = {M}")
     t = K / lams

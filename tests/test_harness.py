@@ -86,9 +86,12 @@ class TestRunScenario:
         trials_file = tmp_path / "out_p1_trials.csv"
         assert trials_file.exists()
 
-    def test_parallelism_does_not_change_bytes(self, tmp_path):
-        run_scenario(small_config(tmp_path, parallelism=1))
-        run_scenario(small_config(tmp_path, parallelism=2))
+    # 3 trials run inline under 2 workers; 24 split evenly into ranges of 3;
+    # 25 leave a short last range
+    @pytest.mark.parametrize("trials", [3, 24, 25])
+    def test_parallelism_does_not_change_bytes(self, tmp_path, trials):
+        run_scenario(small_config(tmp_path, parallelism=1, trials=trials))
+        run_scenario(small_config(tmp_path, parallelism=2, trials=trials))
         one = (tmp_path / "out_p1.csv").read_bytes().replace(b"out_p1", b"out")
         two = (tmp_path / "out_p2.csv").read_bytes().replace(b"out_p2", b"out")
         assert one == two

@@ -170,10 +170,11 @@ class TestSolveDelta:
         assert err.value.last_iterate is not None
         assert err.value.residual is not None
 
-    def test_rejects_nonpositive_t(self):
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_nonpositive_t(self, t):
         spec = CorrelationSpectrum.from_diagonal(np.ones(4))
-        with pytest.raises(ValueError):
-            solve_delta_grid(spec, 4, [0.0])
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            solve_delta_grid(spec, 4, [t, 1.0])
 
 
 class TestSquareSystems:
