@@ -154,8 +154,8 @@ def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
     evaluated directly from the residual so it is nonnegative even when the
     two terms nearly cancel.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     k = model.k
     normal = model.gram.copy()
     normal.flat[:: k + 1] += lam

@@ -18,6 +18,8 @@ byte-identical across parallelism settings.
 Each sweep point maps its trial ranges in order: a serial run maps one range
 of every trial with the builtin ``map``, and a pooled one (``parallelism`` > 1,
 at least two trials per worker) maps about four ranges per worker on the pool.
+A trial keeps the :class:`SnrEstimate` each method returned, or None where the
+method failed; the metrics rows and the trial dump both read those estimates.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .estimator import (EstimatorPlan, LinearModel, _check_dims, _snr_fields, estimate_snr,
+from .estimator import (EstimatorPlan, LinearModel, SnrEstimate, _check_dims, estimate_snr,
                         ml_baseline, ridge_costs)
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients_grid
@@ -154,34 +156,15 @@ def _grid_label(grid) -> str:
     return ";".join(dataio.format_float(v) for v in grid)
 
 
-def _trial_outcome(sx: float, sn: float) -> tuple[float, float, bool, bool]:
-    """(snr_linear, snr_db, failed, degenerate) of one trial's variance pair.
-
-    A failed trial (nan pair) is not degenerate; a degenerate one has a zero
-    variance estimate, so its SNR is 0, inf or nan.
-    """
-    if not (math.isfinite(sx) and math.isfinite(sn)):
-        return math.nan, math.nan, True, False
-    snr, snr_db = _snr_fields(sx, sn)
-    return snr, snr_db, False, not (0.0 < snr < math.inf)
-
-
 def _aggregate(snr_true_db: float, method: str, m: int, k: int,
-               sigmas: np.ndarray, grid_label: str = "") -> MetricsRow:
-    """Fold per-trial (sigma_x2, sigma_n2) pairs into one metrics row."""
+               estimates, grid_label: str = "") -> MetricsRow:
+    """Fold one method's per-trial estimates (None for a failed trial) into one metrics row."""
     true_lin = 10.0 ** (snr_true_db / 10.0)
-    est_db, errors = [], []
-    failed = degenerate = 0
-    for sx, sn in sigmas:
-        snr, snr_db, trial_failed, trial_degenerate = _trial_outcome(sx, sn)
-        failed += trial_failed
-        degenerate += trial_degenerate
-        if trial_failed or trial_degenerate:
-            continue
-        est_db.append(snr_db)
-        errors.append((snr - true_lin) / true_lin)
-    est_db = np.array(est_db)
-    errors = np.array(errors)
+    valid = [e for e in estimates if e is not None and not e.degenerate]
+    failed = sum(e is None for e in estimates)
+    degenerate = len(estimates) - failed - len(valid)
+    est_db = np.array([e.snr_db for e in valid])
+    errors = np.array([(e.snr_linear - true_lin) / true_lin for e in valid])
     if est_db.size:
         mean_est_db = float(est_db.mean())
         norm_err_mean = float(errors.mean())
@@ -192,7 +175,7 @@ def _aggregate(snr_true_db: float, method: str, m: int, k: int,
         mean_est_db = norm_err_mean = nmse_db = norm_err_var = math.nan
     return MetricsRow(
         snr_true_db=snr_true_db, method=method, m=m, k=k,
-        trials=sigmas.shape[0], trials_degenerate=degenerate, trials_failed=failed,
+        trials=len(estimates), trials_degenerate=degenerate, trials_failed=failed,
         mean_est_db=mean_est_db, bias_db=mean_est_db - snr_true_db,
         nmse_db=nmse_db, norm_err_mean=norm_err_mean, norm_err_var=norm_err_var,
         grid_label=grid_label,
@@ -208,17 +191,18 @@ def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key):
 
 def _run_trial_block(block, definition: ScenarioDefinition, snr_db: float,
                      master_seed: int, key_prefix: tuple[int, ...],
-                     trial_lo: int, trial_hi: int) -> np.ndarray:
-    """Run trials [trial_lo, trial_hi); returns (n, 4) of proposed/ml sigma pairs.
+                     trial_lo: int, trial_hi: int) -> list[list[SnrEstimate | None]]:
+    """Run trials [trial_lo, trial_hi); returns each one's [proposed, ml] SnrEstimate pair.
 
-    ``block`` is (spectrum, m, k, plan); a plan of None (its build failed)
-    leaves the proposed pair nan on every trial. A failed draw leaves both
-    pairs nan; a method that fails leaves only its own.
+    ``block`` is (spectrum, m, k, plan). A method that fails leaves None in its
+    entry and the other's estimate intact; a failed draw fails both, and a plan
+    of None (its build failed) fails proposed on every trial.
     """
     spectrum, m, k, plan = block
     signal, noise = definition.specs_at(snr_db)
-    out = np.full((trial_hi - trial_lo, 4), math.nan)
-    for offset, trial in enumerate(range(trial_lo, trial_hi)):
+    trials = range(trial_lo, trial_hi)
+    pairs = [[None, None] for _ in trials]
+    for trial, pair in zip(trials, pairs):
         try:
             truth, model = _draw_trial(spectrum, signal, noise, m, k,
                                        master_seed, (*key_prefix, trial))
@@ -226,17 +210,15 @@ def _run_trial_block(block, definition: ScenarioDefinition, snr_db: float,
             log.warning("trial %d at %.1f dB failed: %s", trial, snr_db, exc)
             continue
         for col, method, args in ((0, plan.estimate if plan else None, (model,)),
-                                  (2, ml_baseline, (model, truth.sigma_x2))):
+                                  (1, ml_baseline, (model, truth.sigma_x2))):
             if method is None:
                 continue
             try:
-                result = method(*args)
+                pair[col] = method(*args)
             except RidgeSnrError as exc:
                 log.warning("trial %d at %.1f dB failed in %s: %s",
                             trial, snr_db, method.__name__, exc)
-                continue
-            out[offset, col:col + 2] = (result.sigma_x2_hat, result.sigma_n2_hat)
-    return out
+    return pairs
 
 
 def _correlation_for(definition: ScenarioDefinition, m: int, seed: int) -> CorrelationSpectrum:
@@ -246,16 +228,14 @@ def _correlation_for(definition: ScenarioDefinition, m: int, seed: int) -> Corre
     return build_correlation(spec)
 
 
-def _trial_records(rows_sigma, snr_db, m, k, grid_label="") -> list[TrialRecord]:
+def _trial_records(pairs, snr_db, m, k, grid_label="") -> list[TrialRecord]:
+    """Dump rows of each trial's pair; a failed method has nan estimates, not degenerate."""
     records = []
-    for trial, (sx_p, sn_p, sx_m, sn_m) in enumerate(rows_sigma):
-        for method, sx, sn in (("proposed", sx_p, sn_p), ("ml", sx_m, sn_m)):
-            snr, snr_db_est, _, degenerate = _trial_outcome(sx, sn)
-            records.append(TrialRecord(
-                snr_true_db=snr_db, method=method, m=m, k=k, trial=trial,
-                sigma_x2_hat=sx, sigma_n2_hat=sn, snr_linear=snr, snr_db=snr_db_est,
-                degenerate=degenerate, grid_label=grid_label,
-            ))
+    for trial, pair in enumerate(pairs):
+        for method, est in zip(("proposed", "ml"), pair):
+            values = (math.nan,) * 4 + (False,) if est is None else (
+                est.sigma_x2_hat, est.sigma_n2_hat, est.snr_linear, est.snr_db, est.degenerate)
+            records.append(TrialRecord(snr_db, method, m, k, trial, *values, grid_label))
     return records
 
 
@@ -290,11 +270,11 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
             for point_idx, snr_db in enumerate(points):
                 task = partial(_run_trial_block, (spectra[m], m, k, plan), definition, snr_db,
                                config.master_seed, (*key_prefix, point_idx))
-                sigmas = np.concatenate(list(run(task, los, his)))
-                rows.append(_aggregate(snr_db, "proposed", m, k, sigmas[:, :2], label))
-                rows.append(_aggregate(snr_db, "ml", m, k, sigmas[:, 2:], label))
+                pairs = [pair for part in run(task, los, his) for pair in part]
+                for method, estimates in zip(("proposed", "ml"), zip(*pairs)):
+                    rows.append(_aggregate(snr_db, method, m, k, estimates, label))
                 if config.dump_trials:
-                    records.extend(_trial_records(sigmas, snr_db, m, k, label))
+                    records.extend(_trial_records(pairs, snr_db, m, k, label))
     _write_outputs(config, rows, records)
     return rows
 
@@ -361,11 +341,13 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
     One design draw is held fixed and factored once; ``config.trials`` (x0, n)
     pairs are drawn and their realized costs (:func:`ridge_costs`) are
     averaged per penalty. Returns rows of (lambda, mc_mean_phi, predicted,
-    rel_error). A set ``snr_points_db`` is rejected: the variances are the
-    scenario's own.
+    rel_error). A set ``snr_points_db`` is rejected, as the variances are the
+    scenario's own, and so is ``dump_trials``.
     """
     if config.snr_points_db is not None:
         raise ValueError("verify_theorem uses the scenario's variances; snr_points_db must be unset")
+    if config.dump_trials:
+        raise ValueError("verify_theorem writes no per-trial CSV; dump_trials must be unset")
     definition = config.resolve_scenario()
     m, k = _own_dims(config, definition)
     grid = config.lambda_grid or definition.lambda_grid

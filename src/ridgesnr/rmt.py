@@ -212,11 +212,16 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
 def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,
                       lambdas) -> tuple[np.ndarray, np.ndarray]:
     """Xi, the (penalties, 2) array of coefficients (xi1, xi2) of the predicted cost
-    at every penalty of ``lambdas``, and the fixed-point steps each penalty took."""
+    at every penalty of ``lambdas``, and the fixed-point steps each penalty took.
+    A penalty so small that t = K / lambda overflows (a subnormal one) is rejected."""
     lams = _positive_finite(lambdas, "lambda")
     if spectrum.dim != M:
         raise DimensionError(f"spectrum dim {spectrum.dim} != M = {M}")
-    t = K / lams
+    with np.errstate(over="ignore"):
+        t = K / lams
+    if not np.isfinite(t).all():
+        raise ValueError(f"lambda {lams[~np.isfinite(t)][0]} is too small: t = K / lambda "
+                         f"overflows at K = {K}")
     delta, steps = solve_delta_grid(spectrum, K, t)
     tr = _psi_t(spectrum.eigenvalues, t, delta)
     denom = 1.0 + t * delta

@@ -216,6 +216,39 @@ class TestCliEstimate:
         ])
         assert code == 2
 
+    def test_subnormal_lambda_exits_config_error(self, tmp_path, capsys):
+        # K / 5e-324 overflows; the message names the penalty, with no warning
+        write_vector(tmp_path / "y.csv", np.ones(2))
+        write_matrix(tmp_path / "w.csv", np.eye(2))
+        (tmp_path / "psi.csv").write_text("diag:1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([
+                "estimate", str(tmp_path / "y.csv"), str(tmp_path / "w.csv"),
+                str(tmp_path / "psi.csv"), "--lambdas", "5e-324,1e-3",
+            ])
+        assert code == 2
+        assert "lambda 5e-324 is too small" in capsys.readouterr().err
+
+    def test_text_output_matches_json(self, dumped_model, capsys):
+        argv = ["estimate", str(dumped_model / "y.csv"), str(dumped_model / "wbar.csv"),
+                str(dumped_model / "psi.csv"), "--lambdas",
+                (dumped_model / "lambdas.csv").read_text().strip()]
+        capsys.readouterr()  # drop the dump run's own output
+        assert cli.main(argv + ["--json"]) == 0
+        reported = json.loads(capsys.readouterr().out)
+        assert cli.main(argv) == 0
+        lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert {label.rstrip(): text for label, text in lines.items()} == {
+            "sigma_x2_hat": f"{reported['sigma_x2_hat']:.10g}",
+            "sigma_n2_hat": f"{reported['sigma_n2_hat']:.10g}",
+            "snr_linear": f"{reported['snr_linear']:.10g}",
+            "snr_db": f"{reported['snr_db']:.10g}",
+            "degenerate": str(reported["degenerate"]),
+            "fit residual norm": f"{reported['fit_residual_norm']:.4g}",
+            "fixed-point iters": str(reported["fixed_point_iters"]),
+        }
+
     def test_negative_lambda_exits_config_error(self, tmp_path, capsys):
         write_vector(tmp_path / "y.csv", np.ones(2))
         write_matrix(tmp_path / "w.csv", np.eye(2))

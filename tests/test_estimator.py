@@ -118,9 +118,10 @@ class TestRidgeSolve:
             p /= np.linalg.norm(p)
             assert ridge_objective(model, lam, sol.x_hat + 1e-4 * p) >= base - 1e-12
 
-    def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            ridge_solve(random_model(6), 0.0)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_nonpositive_lambda(self, lam):
+        with pytest.raises(ValueError, match=f"lambda must be positive and finite, got {lam}"):
+            ridge_solve(random_model(6), lam)
 
     @pytest.mark.parametrize("m, k", [(80, 40), (60, 60), (30, 35)])
     def test_bits_match_dense_normal_equations(self, m, k):

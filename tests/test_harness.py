@@ -45,16 +45,22 @@ class TestDeriveRng:
         assert not np.array_equal(a1, b)
 
 
+def estimates(*pairs):
+    """One SnrEstimate per (sigma_x2, sigma_n2) pair; None (a failed trial) stays None."""
+    return [None if pair is None else
+            estimator.SnrEstimate(*pair, *estimator._snr_fields(*pair)) for pair in pairs]
+
+
 class TestAggregate:
     def test_excludes_degenerates_without_nan(self):
-        sigmas = np.array([
-            [1.0, 0.1],        # valid, snr 10
-            [0.0, 0.2],        # degenerate: zero signal
-            [0.5, 0.0],        # degenerate: zero noise
-            [math.nan, 1.0],   # failed trial
-            [2.0, 0.1],        # valid, snr 20
-        ])
-        row = _aggregate(10.0, "proposed", 8, 4, sigmas)
+        trials = estimates(
+            (1.0, 0.1),        # valid, snr 10
+            (0.0, 0.2),        # degenerate: zero signal
+            (0.5, 0.0),        # degenerate: zero noise
+            None,              # failed trial
+            (2.0, 0.1),        # valid, snr 20
+        )
+        row = _aggregate(10.0, "proposed", 8, 4, trials)
         assert row.trials == 5
         assert row.trials_degenerate == 2
         assert row.trials_failed == 1
@@ -63,12 +69,12 @@ class TestAggregate:
         assert row.norm_err_mean == pytest.approx(((10 - 10) / 10 + (20 - 10) / 10) / 2)
 
     def test_single_valid_trial_flags_variance_undefined(self):
-        row = _aggregate(10.0, "proposed", 8, 4, np.array([[1.0, 0.1]]))
+        row = _aggregate(10.0, "proposed", 8, 4, estimates((1.0, 0.1)))
         assert math.isnan(row.norm_err_var)
         assert math.isfinite(row.mean_est_db)
 
     def test_no_valid_trials(self):
-        row = _aggregate(10.0, "proposed", 8, 4, np.array([[0.0, 0.0]]))
+        row = _aggregate(10.0, "proposed", 8, 4, estimates((0.0, 0.0)))
         assert row.trials_degenerate == 1
         assert math.isnan(row.mean_est_db)
 
@@ -298,10 +304,15 @@ class TestVerifyTheorem:
         assert "lambda,mc_mean_phi,alpha,rel_error" in text
 
 
-    def test_rejects_snr_points_it_would_not_run(self):
-        config = RunConfig(scenario="fig1", trials=2, snr_points_db=(5.0,))
-        with pytest.raises(ValueError, match="snr_points_db"):
+    # neither field is read by the run, so neither may be set
+    @pytest.mark.parametrize("field, value", [("snr_points_db", (5.0,)), ("dump_trials", True)],
+                             ids=["snr_points_db", "dump_trials"])
+    def test_rejects_snr_points_it_would_not_run(self, tmp_path, field, value):
+        config = RunConfig(scenario="fig1", trials=2, output_path=str(tmp_path / "fig1.csv"),
+                           **{field: value})
+        with pytest.raises(ValueError, match=field):
             verify_theorem(config)
+        assert not list(tmp_path.iterdir())
 
     def test_more_draws_than_one_block_match_the_per_draw_sum(self):
         # the per-draw reference: a LinearModel and a Cholesky ridge_solve per (draw, penalty)

@@ -356,6 +356,13 @@ class TestCoefficients:
             with pytest.raises(ValueError, match="lambda must be positive and finite"):
                 coefficients_grid(spec, 4, 4, [1.0, lam])
 
+    def test_rejects_a_penalty_whose_t_overflows(self):
+        # 5e-324 is positive and finite, but K / 5e-324 is inf; the error names
+        # the penalty, not the t the caller never gave, and raises no warning
+        spec = CorrelationSpectrum.from_diagonal(np.ones(4))
+        with pytest.raises(ValueError, match="lambda 5e-324 is too small"):
+            coefficients_grid(spec, 4, 4, [5e-324, 1e-3])
+
 
 class TestAlpha:
     def test_zero_variances(self):
