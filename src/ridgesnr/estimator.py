@@ -47,6 +47,10 @@ LS_EPSILON = 1e-10
 # Most observations ridge_costs stacks into one matrix product.
 COST_BLOCK = 64
 
+# ridge_costs factors W through ``eigh`` of its Gram only when the smallest
+# eigenvalue exceeds this times the largest, i.e. cond(W) < 100.
+GRAM_RCOND = 1e-4
+
 
 def _check_dims(spectrum: CorrelationSpectrum, m: int, k: int) -> None:
     if spectrum.dim != m:
@@ -166,12 +170,16 @@ def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
 
 
 def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
-    """Normalized ridge cost of many observations on one fixed design, from one SVD.
+    """Normalized ridge cost of many observations on one fixed design, from one factorization.
 
-    With W = U S V^T (thin SVD), K phi(lam) = sum_i lam/(s_i^2 + lam) (u_i^T y)^2
+    With W = U S V^T, K phi(lam) = sum_i lam/(s_i^2 + lam) (u_i^T y)^2
     + ||y - U U^T y||^2; the second term, the energy outside W's range, is
-    taken as a residual norm so it does not cancel at high SNR. ``ys`` is an
-    iterable of observation vectors, stacked in blocks of at most
+    taken as a residual norm so it does not cancel at high SNR. U and S^2 come
+    from ``eigh`` of the K x K Gram, U = W V / S, when its eigenvalues are
+    positive and cond(W)^2 < 1 / ``GRAM_RCOND``, so that U's orthonormality
+    error, about eps cond(W)^2, stays near 1e-12 at worst; any other design
+    (wide, rank-deficient or ill-conditioned) takes a thin SVD.
+    ``ys`` is an iterable of observation vectors, stacked in blocks of at most
     ``COST_BLOCK`` columns so memory does not grow with their number; one
     (len(lambdas), n) array of costs is yielded per block of n observations.
     Each cost equals ``ridge_solve(model, lam).phi`` to rounding.
@@ -183,8 +191,13 @@ def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
         raise DimensionError("design contains non-finite entries")
     lams = _positive_finite(lambdas, "lambda").reshape(-1, 1)
     m, k = w.shape
-    u, s, _ = np.linalg.svd(w, full_matrices=False)
-    shrink = lams / (s ** 2 + lams)
+    mu, v = np.linalg.eigh(w.T @ w)
+    if mu[0] > GRAM_RCOND * mu[-1]:
+        u = (w @ v) / np.sqrt(mu)
+    else:
+        u, s, _ = np.linalg.svd(w, full_matrices=False)
+        mu = s ** 2
+    shrink = lams / (mu + lams)
     observations = iter(ys)
     while chunk := list(islice(observations, COST_BLOCK)):
         block = np.asarray(chunk, dtype=float).T

@@ -338,10 +338,11 @@ def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
 def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]:
     """Compare the Monte-Carlo mean of the normalized cost to its prediction.
 
-    One design draw is held fixed and factored once; ``config.trials`` (x0, n)
-    pairs are drawn and their realized costs (:func:`ridge_costs`) are
-    averaged per penalty. Returns rows of (lambda, mc_mean_phi, predicted,
-    rel_error). A set ``snr_points_db`` is rejected, as the variances are the
+    One design draw is held fixed and factored once (:func:`ridge_costs`:
+    ``eigh`` of its Gram when cond(W) < 100, as for every catalog design, else
+    a thin SVD); ``config.trials`` (x0, n) pairs are drawn and their realized
+    costs are averaged per penalty. Returns rows of (lambda, mc_mean_phi,
+    predicted, rel_error). A set ``snr_points_db`` is rejected, as the variances are the
     scenario's own, and so is ``dump_trials``.
     """
     if config.snr_points_db is not None:

@@ -213,19 +213,33 @@ def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,
                       lambdas) -> tuple[np.ndarray, np.ndarray]:
     """Xi, the (penalties, 2) array of coefficients (xi1, xi2) of the predicted cost
     at every penalty of ``lambdas``, and the fixed-point steps each penalty took.
-    A penalty so small that t = K / lambda overflows (a subnormal one) is rejected."""
+
+    A penalty so small that a product the coefficients need overflows is
+    rejected: t = K / lambda (a subnormal lambda), t delta at the fixed point's
+    starting iterate delta = tr(Psi) / K, or t tr and K (1 + t delta) in xi2."""
     lams = _positive_finite(lambdas, "lambda")
     if spectrum.dim != M:
         raise DimensionError(f"spectrum dim {spectrum.dim} != M = {M}")
     with np.errstate(over="ignore"):
         t = K / lams
-    if not np.isfinite(t).all():
-        raise ValueError(f"lambda {lams[~np.isfinite(t)][0]} is too small: t = K / lambda "
-                         f"overflows at K = {K}")
+        start = t * (float(spectrum.eigenvalues.sum()) / K)
+    _reject_overflow(lams, np.isfinite(t), f"t = K / lambda overflows at K = {K}")
+    _reject_overflow(lams, np.isfinite(start), "t delta overflows at the fixed point's "
+                     "starting iterate delta = tr(Psi) / K")
     delta, steps = solve_delta_grid(spectrum, K, t)
     tr = _psi_t(spectrum.eigenvalues, t, delta)
     denom = 1.0 + t * delta
-    return np.stack([tr / denom, M / K - t * tr / (K * denom)], axis=1), steps
+    with np.errstate(over="ignore"):
+        t_tr, k_denom = t * tr, K * denom
+    _reject_overflow(lams, np.isfinite(t_tr) & np.isfinite(k_denom),
+                     "t tr or K (1 + t delta) overflows in xi2")
+    return np.stack([tr / denom, M / K - t_tr / k_denom], axis=1), steps
+
+
+def _reject_overflow(lams: np.ndarray, finite: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first penalty of ``lams`` whose ``finite`` entry is False."""
+    if not finite.all():
+        raise ValueError(f"lambda {lams[~finite][0]} is too small: {what}")
 
 
 def alpha(xi: np.ndarray, sigma_x2: float, sigma_n2: float) -> np.ndarray:

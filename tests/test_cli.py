@@ -230,6 +230,25 @@ class TestCliEstimate:
         assert code == 2
         assert "lambda 5e-324 is too small" in capsys.readouterr().err
 
+    # t = K / 4e-307 is finite, but t tr(Psi) / K is not; 2e-306 and 1e-300 stay estimable
+    @pytest.mark.parametrize("lam, code", [(4e-307, 2), (2e-306, 0), (1e-300, 0)])
+    def test_near_overflow_lambda(self, tmp_path, capsys, lam, code):
+        write_vector(tmp_path / "y.csv", np.ones(2))
+        write_matrix(tmp_path / "w.csv", np.eye(2))
+        (tmp_path / "psi.csv").write_text("diag:100,100\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([
+                "estimate", str(tmp_path / "y.csv"), str(tmp_path / "w.csv"),
+                str(tmp_path / "psi.csv"), "--lambdas", f"{lam},1e-3", "--json",
+            ]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert f"lambda {lam} is too small" in err
+        else:
+            reported = json.loads(out)
+            assert np.isfinite([reported["sigma_x2_hat"], reported["sigma_n2_hat"]]).all()
+
     def test_text_output_matches_json(self, dumped_model, capsys):
         argv = ["estimate", str(dumped_model / "y.csv"), str(dumped_model / "wbar.csv"),
                 str(dumped_model / "psi.csv"), "--lambdas",

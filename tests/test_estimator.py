@@ -168,6 +168,54 @@ class TestRidgeCosts:
         assert costs.shape == expected.shape
         np.testing.assert_allclose(costs, expected, rtol=1e-10, atol=0)
 
+    # rank(W) < K: the Gram has zero eigenvalues, so the costs come from the thin
+    # SVD, with no sqrt(0) and no warning (pytest turns every warning into an error)
+    @pytest.mark.parametrize("rank", [0, 30], ids=["all-zero", "rank-deficient"])
+    def test_singular_designs_match_ridge_solve(self, rank):
+        # W = Psi^(1/2) Wbar, with 80 - rank zero eigenvalues in Psi
+        rng = np.random.default_rng(rank)
+        wbar = rng.standard_normal((80, 40))
+        design = np.sqrt(np.r_[np.zeros(80 - rank), rng.uniform(0.2, 1.5, rank)])[:, None] * wbar
+        spec = CorrelationSpectrum.from_diagonal(np.ones(80))
+        models = [LinearModel(design=design, raw_design=wbar, spectrum=spec,
+                              y=rng.standard_normal(80)) for _ in range(3)]
+        (costs,) = ridge_costs(design, [model.y for model in models], self.LAMBDAS)
+        expected = np.array([[ridge_solve(model, lam).phi for model in models]
+                             for lam in self.LAMBDAS])
+        np.testing.assert_allclose(costs, expected, rtol=1e-10, atol=0)
+
+    @staticmethod
+    def conditioned_design(cond: float, m: int = 60, k: int = 20) -> np.ndarray:
+        """Q diag(s) V^T with singular values spread geometrically from 1 to 1 / cond."""
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        return (q * np.geomspace(1.0, 1.0 / cond, k)) @ v.T
+
+    @pytest.mark.parametrize("cond", [1.0, 10.0, 99.0, 101.0, 1e3, 1e6])
+    def test_gram_guard_by_condition_number(self, cond, monkeypatch):
+        # cond(W) < 100 takes eigh of the Gram and must agree with the thin SVD it
+        # replaces to 1e-12; a worse-conditioned design must reach the thin SVD
+        svd, svd_calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or svd(*a, **kw))
+        design = self.conditioned_design(cond)
+        rng = np.random.default_rng(int(cond))
+        spec = CorrelationSpectrum.from_diagonal(np.ones(60))
+        models = [LinearModel(design=design, raw_design=design, spectrum=spec,
+                              y=design @ rng.standard_normal(20) + 0.1 * rng.standard_normal(60))
+                  for _ in range(4)]
+        ys = np.array([model.y for model in models]).T
+        (costs,) = ridge_costs(design, ys.T, self.LAMBDAS)
+        assert bool(svd_calls) == (cond > 100)
+        expected = np.array([[ridge_solve(model, lam).phi for model in models]
+                             for lam in self.LAMBDAS])
+        np.testing.assert_allclose(costs, expected, rtol=1e-10, atol=0)
+        u, s, _ = svd(design, full_matrices=False)
+        coef = u.T @ ys
+        thin_svd = ((self.LAMBDAS[:, None] / (s ** 2 + self.LAMBDAS[:, None])) @ coef ** 2
+                    + np.sum((ys - u @ coef) ** 2, axis=0)) / 20
+        np.testing.assert_allclose(costs, thin_svd, rtol=1e-12, atol=0)
+
     def test_observations_are_stacked_in_bounded_blocks(self):
         models = self.models(12, 6, 0.3, count=COST_BLOCK + 3)
         blocks = list(ridge_costs(models[0].design, (model.y for model in models), (0.5, 2.0)))

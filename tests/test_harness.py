@@ -11,6 +11,8 @@ from ridgesnr import (
     DistributionSpec,
     RunConfig,
     ScenarioDefinition,
+    alpha,
+    coefficients_grid,
     dim_sweep,
     estimator,
     lambda_sensitivity,
@@ -332,6 +334,39 @@ class TestVerifyTheorem:
             sums += [estimator.ridge_solve(model, lam).phi for lam in defn.lambda_grid]
         np.testing.assert_allclose([row[1] for row in rows], sums / config.trials,
                                    rtol=1e-10, atol=0)
+
+    def test_fig1_costs_never_reach_the_thin_svd(self, monkeypatch):
+        # the fig1 design has cond(W)^2 far below 1 / GRAM_RCOND, so eigh of its Gram serves
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert len(verify_theorem(RunConfig(scenario="fig1", trials=3, master_seed=2))) == 20
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_fig1_means_match_thin_svd_costs(self, seed):
+        # the mean costs against a thin-SVD reference over the same design and draws,
+        # independent of the printed digits the pinned CSV hash covers
+        config = RunConfig(scenario="fig1", trials=12, master_seed=seed)
+        rows = verify_theorem(config)
+        definition = config.resolve_scenario()
+        m, k = definition.dims
+        grid = np.array(definition.lambda_grid)
+        spectrum = _correlation_for(definition, m, seed)
+        design = spectrum.sqrt_apply(derive_rng(seed, STREAM_FIXED_DESIGN).standard_normal((m, k)))
+        signal, noise = definition.specs_at(definition.snr_points_db[0])
+        ys = np.array([design @ truth.x0 + truth.n for truth in (
+            sample_truth(signal, noise, m, k, derive_rng(seed, STREAM_THEOREM_DRAWS, draw))
+            for draw in range(config.trials))]).T
+        u, s, _ = np.linalg.svd(design, full_matrices=False)
+        coef = u.T @ ys
+        costs = ((grid[:, None] / (s ** 2 + grid[:, None])) @ coef ** 2
+                 + np.sum((ys - u @ coef) ** 2, axis=0)) / k
+        xi, _ = coefficients_grid(spectrum, m, k, grid)
+        assert [row[0] for row in rows] == grid.tolist()
+        assert [row[2] for row in rows] == alpha(xi, signal.implied_variance,
+                                                 noise.implied_variance).tolist()
+        np.testing.assert_allclose([row[1] for row in rows], costs.mean(axis=1), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("lam", [0.0, -0.5])
     def test_rejects_a_nonpositive_penalty(self, lam):

@@ -363,6 +363,22 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="lambda 5e-324 is too small"):
             coefficients_grid(spec, 4, 4, [5e-324, 1e-3])
 
+    # t = K / lambda is finite, but t tr(Psi) / K, the fixed point's first t delta,
+    # overflows (square, 4e-307), or t tr and K (1 + t delta) do at the root
+    # (tall, 6.7e-307); each is rejected by name, with no warning
+    @pytest.mark.parametrize("q, k, lam", [((100.0, 100.0), 2, 4e-307),
+                                           ((1.0,) * 100, 2, 6.7e-307)], ids=["start", "xi2"])
+    def test_rejects_a_penalty_whose_fixed_point_overflows(self, q, k, lam):
+        spec = CorrelationSpectrum.from_diagonal(q)
+        with pytest.raises(ValueError, match=f"lambda {lam} is too small"):
+            coefficients_grid(spec, len(q), k, [lam, 1e-3])
+
+    @pytest.mark.parametrize("lam", [2e-306, 1e-300])
+    def test_keeps_tiny_penalties_that_do_not_overflow(self, lam):
+        xi, _ = coefficients_grid(CorrelationSpectrum.from_diagonal([100.0, 100.0]), 2, 2,
+                                  [lam, 1e-3])
+        assert np.isfinite(xi).all()
+
 
 class TestAlpha:
     def test_zero_variances(self):
