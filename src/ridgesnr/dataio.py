@@ -54,16 +54,31 @@ def _parse_row(line: str, lineno: int, path: str) -> list[float]:
 
 
 def _data_lines(path: str | Path) -> list[tuple[int, str]]:
-    """(one-based line number, stripped text) of each line that is not blank or a comment."""
+    """(one-based line number, stripped text) of each line that is not blank or a comment.
+
+    The file is read as UTF-8; a leading byte-order mark (as spreadsheet exports
+    write it) is dropped."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = ((lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1))
     return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
 
 
 def _parse_matrix(lines: list[tuple[int, str]], path: str | Path) -> np.ndarray:
+    if not lines:  # np.loadtxt warns on no input
+        raise DataFormatError(f"{path}: no data rows")
+    # one C-level parse; it accepts no cell that float() rejects, so the row
+    # loop below runs only to name the first bad cell or ragged row, or to
+    # read what float() alone accepts (digit underscores, non-ASCII digits)
+    try:
+        return np.loadtxt([line for _, line in lines], delimiter=",", comments=None,
+                          ndmin=2, dtype=float)
+    except ValueError:
+        pass
     rows = []
     width = None
     for lineno, line in lines:
@@ -75,8 +90,6 @@ def _parse_matrix(lines: list[tuple[int, str]], path: str | Path) -> np.ndarray:
                 f"{path}:{lineno}: row has {len(row)} columns, expected {width}"
             )
         rows.append(row)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
     return np.array(rows)
 
 

@@ -18,7 +18,10 @@ Everything is evaluated in the eigenbasis of Psi, so no M x M resolvent is
 ever materialized. ``solve_delta_grid`` solves a whole penalty grid together,
 one row of a (penalties x eigenvalues) array per penalty: Picard iteration for
 up to ``PICARD_STEPS`` steps, then Newton's method where the map contracts
-slowly (square systems at small penalties). Newton needs no bracket: g(d) =
+slowly (square systems at small penalties). A penalty leaves Picard early, at
+a power-of-two step, once its step and step ratio show that Picard cannot
+finish it within ``PICARD_STEPS`` steps; every penalty Picard can finish keeps
+plain Picard's result. Newton needs no bracket: g(d) =
 d - F(d) is convex with g(0) < 0, so from at or above the root it descends
 without overshooting. ``coefficients_grid`` returns the rows (xi1, xi2) of Xi.
 """
@@ -38,7 +41,8 @@ __all__ = ["CorrelationSpectrum", "solve_delta_grid", "coefficients_grid", "alph
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 # Picard steps before the Newton finish; a root Picard reaches within them is
-# returned exactly as plain Picard iteration would return it.
+# returned exactly as plain Picard iteration would return it, and a t that
+# provably cannot reach it within them leaves for Newton sooner.
 PICARD_STEPS = 100
 # Eigenvalues of a nominally PSD correlation matrix may go slightly negative
 # from round-off; below this relative threshold they are floored, beyond it
@@ -162,46 +166,74 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     Picard iteration starts from the upper bound tr(Q)/K; F is increasing and
     concave, so the iterates decrease to the unique positive root, and each t
     keeps its first iterate with |F(delta) - delta| <= tol * max(F(delta), 1).
-    The t still open after ``PICARD_STEPS`` steps (Picard's rate nears 1 on
-    square systems) finish with Newton on the convex g(d) = d - F(d), from the
-    last Picard iterate, at or above the root; g(0) < 0, so g rises from the
-    root on and Newton descends to it without overshooting. A step of at most
-    tol * max(delta, 1) ends with delta minus that step. g is evaluated as
+    The step s_j = delta_(j-1) - delta_j is then F's secant slope times s_(j-1),
+    over an interval that moves down, so the ratio r_j = s_j / s_(j-1) never
+    falls, while the bound tol * max(F, 1) never rises. A t whose
+    s_j r_j^(PICARD_STEPS - j) exceeds its bound at a power-of-two step j >= 4
+    therefore cannot finish within ``PICARD_STEPS`` steps (Picard's rate nears 1
+    on square systems); it leaves Picard then, as does a t still open after
+    ``PICARD_STEPS`` steps. Every t that Picard can finish keeps the bits
+    and step count of plain Picard iteration.
+
+    The t that leave finish with Newton on the convex g(d) = d - F(d), from
+    their last Picard iterate, at or above the root; g(0) < 0, so g rises from
+    the root on and Newton descends to it without overshooting. A step of at
+    most tol * max(delta, 1) ends with delta minus that step. g is evaluated as
     d B - (1 - B) / t, B = (K - M + sum_i 1 / (1 + c q_i)) / K, a sum of positive
     terms near M = K, where d - F(d) cancels and would leave the root up to
     1e-12 relative off.
 
-    ``max_iter`` bounds both phases together; ConvergenceError names the first
-    t that uses it up. Returns arrays (delta, steps taken) over ``ts``, with
+    ``max_iter`` bounds the steps of both phases of each t together;
+    ConvergenceError names the first t of the grid that uses it up. Returns
+    arrays (delta, steps taken) over ``ts``, with
     |delta - F(delta)| <= tol * max(delta, 1).
     """
     ts = _positive_finite(ts, "t")
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     q = spectrum.eigenvalues
-    delta = np.full(ts.size, float(q.sum()) / K)
-    deltas, steps = delta.copy(), np.zeros(ts.size, dtype=int)
-    todo, t = np.arange(ts.size), ts
-    for iteration in range(1, max_iter + 1):
-        if not todo.size:
+    deltas, steps = np.full(ts.size, float(q.sum()) / K), np.zeros(ts.size, dtype=int)
+    unsolved = np.zeros(ts.size, dtype=bool)  # the t handed to Newton and still open there
+    picard_steps = min(max_iter, PICARD_STEPS)
+    rows, t, delta = np.arange(ts.size), ts, deltas.copy()
+    for iteration in range(1, picard_steps + 1):
+        if not rows.size:
             break
-        if iteration <= PICARD_STEPS:
-            nxt = _psi_t(q, t, delta) / K
-            done = np.abs(nxt - delta) <= tol * np.maximum(nxt, 1.0)
-        else:
-            c = t / (1.0 + t * delta)
-            u = 1.0 / (1.0 + np.multiply.outer(c, q))
-            b = (K - q.size + np.sum(u, axis=1)) / K
-            gap = delta * b - (1.0 - b) / t
-            step = gap / (1.0 - c * c * np.sum((q * u) ** 2, axis=1) / K)
-            nxt = delta - step
-            done = np.abs(step) <= tol * np.maximum(delta, 1.0)
-        if done.any():  # retire the converged t
-            deltas[todo[done]], steps[todo[done]] = nxt[done], iteration
-            todo, t, nxt = (a[~done] for a in (todo, t, nxt))
+        nxt = _psi_t(q, t, delta) / K
+        step = np.abs(nxt - delta)
+        bound = tol * np.maximum(nxt, 1.0)
+        leave = step <= bound
+        if iteration >= 4 and iteration & (iteration - 1) == 0:  # the docstring's exit test
+            stuck = step * (step / last) ** (PICARD_STEPS - iteration) > bound
+            if stuck.any():
+                stuck &= ~leave
+                unsolved[rows[stuck]] = True
+                leave |= stuck
+        if leave.any():  # retire the converged t, hand on the stuck ones
+            deltas[rows[leave]], steps[rows[leave]] = nxt[leave], iteration
+            rows, t, nxt, step = (a[~leave] for a in (rows, t, nxt, step))
+        delta, last = nxt, step
+    deltas[rows], steps[rows], unsolved[rows] = delta, picard_steps, True
+    rows = np.flatnonzero(unsolved & (steps < max_iter))  # a t with no steps left stays open
+    t, delta = ts[rows], deltas[rows]
+    while rows.size:
+        c = t / (1.0 + t * delta)
+        u = 1.0 / (1.0 + np.multiply.outer(c, q))
+        b = (K - q.size + np.sum(u, axis=1)) / K
+        gap = delta * b - (1.0 - b) / t
+        step = gap / (1.0 - c * c * np.sum((q * u) ** 2, axis=1) / K)
+        nxt = delta - step
+        steps[rows] += 1
+        done = np.abs(step) <= tol * np.maximum(delta, 1.0)
+        unsolved[rows[done]] = False
+        leave = done | (steps[rows] >= max_iter)
+        if leave.any():  # retire the converged t and those out of steps
+            deltas[rows[leave]] = nxt[leave]
+            rows, t, nxt = (a[~leave] for a in (rows, t, nxt))
         delta = nxt
-    if todo.size:
-        t, last = ts[todo[0]], delta[0]
+    if unsolved.any():
+        row = int(np.argmax(unsolved))
+        t, last = ts[row], deltas[row]
         residual = float(abs(_psi_t(q, t, last) / K - last))
         raise ConvergenceError(f"fixed point did not converge in {max_iter} iterations "
                                f"(lambda={K / t:g}, t={t:g}, residual={residual:.3e})",

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ridgesnr import cli
 from ridgesnr.dataio import (
@@ -18,6 +19,13 @@ from ridgesnr.dataio import (
 from ridgesnr.exceptions import DataFormatError, DimensionError
 from ridgesnr.estimator import estimate_snr
 from ridgesnr.rmt import CorrelationSpectrum
+from square_requests import reference_estimate, write_square_request
+
+# Cells of every magnitude float64 holds: subnormals, signed zeros, huge exponents
+CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                   1.7976931348623157e308]))
+PADDING = st.sampled_from(["", " ", "\t", "  "])
 
 
 @pytest.fixture()
@@ -147,6 +155,52 @@ class TestDataIO:
         assert est_diag.sigma_x2_hat == pytest.approx(est_dense.sigma_x2_hat, abs=1e-10)
         assert est_diag.sigma_n2_hat == pytest.approx(est_dense.sigma_n2_hat, abs=1e-10)
 
+    # each example rewrites the one file, so sharing tmp_path across examples is safe
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(
+        st.lists(st.tuples(PADDING, CELLS, PADDING), min_size=width, max_size=width),
+        min_size=1, max_size=6)))
+    def test_parse_matches_the_per_cell_loop(self, tmp_path, rows):
+        path = tmp_path / "m.csv"
+        lines = [",".join(f"{left}{value:.17g}{right}" for left, value, right in row)
+                 for row in rows]
+        path.write_text("\n".join(lines) + "\n")
+        expected = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+        parsed = read_matrix(path)
+        assert parsed.shape == expected.shape
+        assert parsed.tobytes() == expected.tobytes()
+
+    def test_cells_only_float_reads_still_parse(self, tmp_path):
+        # digit underscores and non-ASCII digits: float() reads them, np.loadtxt does not
+        path = tmp_path / "m.csv"
+        path.write_text("1_000,\u0661\n2.5,-3\n", encoding="utf-8")
+        assert np.array_equal(read_matrix(path), [[1000.0, 1.0], [2.5, -3.0]])
+
+    def test_comment_only_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# header only\n\n   \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError) as err:
+                read_matrix(path)
+        assert str(err.value) == f"{path}: no data rows"
+
+    # spreadsheet exports start a UTF-8 file with the byte-order mark EF BB BF
+    @pytest.mark.parametrize("text", ["1.5,2\n3,4\n", "# exported\n1.5,2\n3,4\n"],
+                             ids=["data", "comment"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert np.array_equal(read_matrix(path), [[1.5, 2.0], [3.0, 4.0]])
+
+    def test_byte_order_mark_before_a_diag_row(self, tmp_path):
+        path = tmp_path / "psi.csv"
+        path.write_bytes(b"\xef\xbb\xbfdiag:0.5,2\n")
+        spectrum = read_correlation(path)
+        assert spectrum.diagonal
+        assert np.array_equal(spectrum.eigenvalues, [0.5, 2.0])
+
     def test_dimension_mismatch(self, tmp_path):
         write_vector(tmp_path / "y.csv", np.ones(4))
         write_matrix(tmp_path / "w.csv", np.ones((5, 2)))
@@ -185,6 +239,33 @@ class TestCliEstimate:
             str(tmp_path / "psi.csv"), "--lambdas", "0.1,0.2",
         ])
         assert code == 2
+
+    def test_non_utf8_file_exits_config_error_naming_it(self, tmp_path, capsys):
+        write_vector(tmp_path / "y.csv", np.ones(2))
+        (tmp_path / "bin.csv").write_bytes(b"\xff\xfe1\x00,\x000\x00\n\x00")
+        (tmp_path / "psi.csv").write_text("diag:1,1\n")
+        code = cli.main([
+            "estimate", str(tmp_path / "y.csv"), str(tmp_path / "bin.csv"),
+            str(tmp_path / "psi.csv"), "--lambdas", "0.1,0.2",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'bin.csv'}: not UTF-8 text")
+
+    # plain Picard takes 105-111 steps on these systems; leaving it once it
+    # provably cannot finish, Newton ends every penalty in about 30
+    @pytest.mark.parametrize("grid", [(1e-6, 2e-6, 3e-6, 4e-6), (1e-3, 2e-3, 3e-3, 4e-3)],
+                             ids=["1e-6", "default"])
+    @pytest.mark.parametrize("m", [60, 80])
+    def test_square_request_takes_few_fixed_point_steps(self, tmp_path, capsys, m, grid):
+        paths, (psi, wbar, y) = write_square_request(tmp_path, 0, m)
+        assert cli.main(["estimate", *map(str, paths), "--lambdas",
+                         ",".join(map(str, grid)), "--json"]) == 0
+        reported = json.loads(capsys.readouterr().out)
+        reference = reference_estimate(psi, wbar, y, grid)
+        sigma = np.array([reported["sigma_x2_hat"], reported["sigma_n2_hat"]])
+        assert np.max(np.abs(sigma - reference)) <= 1e-5 * np.sum(reference)
+        assert len(reported["fixed_point_iters"]) == len(grid)
+        assert max(reported["fixed_point_iters"]) <= 40
 
     def test_indefinite_psi_exits_numeric_error(self, tmp_path, capsys):
         write_vector(tmp_path / "y.csv", np.ones(2))

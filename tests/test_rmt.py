@@ -63,20 +63,40 @@ def mpmath_delta(q: np.ndarray, k: int, t: float) -> float:
                                      solver="anderson"))
 
 
-def per_penalty_delta(q: np.ndarray, k: int, t: float, tol: float = 1e-12,
-                      max_iter: int = 10_000) -> tuple[float, int]:
-    """The fixed point at one t, written out as scalar loops: plain Picard iteration
-    from tr(Q)/k for up to PICARD_STEPS steps, then Newton on
-    g(d) = d B - (1 - B)/t, B = (k - m + sum 1/(1 + c q))/k, bisecting a step
-    that leaves the bracket [lo, hi] (first [0, last Picard iterate])."""
+def plain_picard(q: np.ndarray, k: int, t: float, tol: float = 1e-12,
+                 steps: int = PICARD_STEPS) -> tuple[float, int] | None:
+    """Picard iteration from tr(Q)/k with no early exit: the first iterate within
+    tol of its predecessor and its step, or None if ``steps`` steps do not reach one."""
     delta = float(q.sum()) / k
-    for iteration in range(1, min(max_iter, PICARD_STEPS) + 1):
+    for iteration in range(1, steps + 1):
         nxt = fixed_point_map(q, k, t, delta)
         if abs(nxt - delta) <= tol * max(nxt, 1.0):
             return nxt, iteration
         delta = nxt
+    return None
+
+
+def per_penalty_delta(q: np.ndarray, k: int, t: float, tol: float = 1e-12,
+                      max_iter: int = 10_000) -> tuple[float, int]:
+    """The fixed point at one t, written out as scalar loops: plain Picard iteration
+    from tr(Q)/k for up to PICARD_STEPS steps, left at a power-of-two step j >= 4
+    where the step s_j times the step ratio r_j = s_j / s_(j-1) to the power
+    PICARD_STEPS - j exceeds tol * max(F, 1); then Newton on
+    g(d) = d B - (1 - B)/t, B = (k - m + sum 1/(1 + c q))/k, bisecting a step
+    that leaves the bracket [lo, hi] (first [0, last Picard iterate])."""
+    delta = float(q.sum()) / k
+    for picard in range(1, min(max_iter, PICARD_STEPS) + 1):
+        nxt = fixed_point_map(q, k, t, delta)
+        step, bound = abs(nxt - delta), tol * max(nxt, 1.0)
+        if step <= bound:
+            return nxt, picard
+        delta = nxt
+        if picard >= 4 and picard & (picard - 1) == 0 and \
+                step * (step / last) ** (PICARD_STEPS - picard) > bound:
+            break
+        last = step
     lo, hi = 0.0, delta
-    for iteration in range(PICARD_STEPS + 1, max_iter + 1):
+    for iteration in range(picard + 1, max_iter + 1):
         c = t / (1.0 + t * delta)
         u = 1.0 / (1.0 + c * q)
         b = (k - q.size + float(np.sum(u))) / k
@@ -212,19 +232,29 @@ class TestSquareSystems:
 
     def test_newton_phase_keeps_the_residual_contract(self):
         spec = exponential_spectrum(60)
+        t = 60 / 1e-6
         for tol in (1e-12, 1e-9, 1e-6):
-            (delta,), (iters,) = solve_delta_grid(spec, 60, [60 / 1e-6], tol=tol)
-            assert iters > PICARD_STEPS
-            resid = abs(delta - fixed_point_map(spec.eigenvalues, 60, 60 / 1e-6, delta))
+            (delta,), (iters,) = solve_delta_grid(spec, 60, [t], tol=tol)
+            # Picard cannot finish this t in PICARD_STEPS steps; it leaves early
+            assert plain_picard(spec.eigenvalues, 60, t, tol) is None
+            assert iters < PICARD_STEPS
+            resid = abs(delta - fixed_point_map(spec.eigenvalues, 60, t, delta))
             assert resid <= tol * max(delta, 1.0)
 
     def test_max_iter_bounds_both_phases(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(30))
-        _, (iters,) = solve_delta_grid(spec, 30, [30 / 1e-6])
-        assert iters > PICARD_STEPS + 1
+        t = 30 / 1e-6
+        (delta,), (iters,) = solve_delta_grid(spec, 30, [t])
+        assert iters < PICARD_STEPS
+        assert solve_delta_grid(spec, 30, [t], max_iter=iters)[0][0] == delta
         with pytest.raises(ConvergenceError) as err:
-            solve_delta_grid(spec, 30, [30 / 1e-6], max_iter=PICARD_STEPS + 1)
-        assert err.value.last_iterate > closed_form_delta(30 / 1e-6)
+            solve_delta_grid(spec, 30, [t], max_iter=iters - 1)
+        # the budget runs out in the Newton phase: above the root, and below the
+        # iterate that Picard alone reaches in as many steps
+        picard_iterate = 1.0  # tr(Psi) / K
+        for _ in range(iters - 1):
+            picard_iterate = fixed_point_map(spec.eigenvalues, 30, t, picard_iterate)
+        assert closed_form_delta(t) < err.value.last_iterate < picard_iterate
 
     def test_picard_result_is_returned_unchanged(self):
         rng = np.random.default_rng(14)
@@ -271,10 +301,28 @@ class TestGridSolver:
         assert [(d, n) for d, n in zip(deltas.tolist(), steps.tolist())] == \
             [per_penalty_delta(q, k, t) for t in ts]
 
+    @settings(max_examples=150, deadline=None)
+    @given(**GRID_PROBLEMS, tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+    @example(m=60, shape="square", zeros=0.0, seed=2, exponents=[-3.0, -2.0, -1.0, 0.0],
+             tol=1e-12)
+    def test_picard_rows_keep_the_bits_of_plain_picard(self, m, shape, zeros, seed,
+                                                       exponents, tol):
+        # the early exit only takes t that plain Picard cannot finish in
+        # PICARD_STEPS steps; every t it can finish keeps its iterate and step
+        q, k = grid_problem(m, shape, zeros, seed)
+        ts = k / 10.0 ** np.array(exponents)
+        deltas, steps = solve_delta_grid(CorrelationSpectrum.from_diagonal(q), k, ts, tol=tol)
+        for t, delta, n in zip(ts, deltas.tolist(), steps.tolist()):
+            picard = plain_picard(q, k, t, tol)
+            if picard is not None:
+                assert (delta, n) == picard
+
     @settings(max_examples=100, deadline=None)
     @given(**GRID_PROBLEMS, max_iter=st.integers(1, PICARD_STEPS + 8))
     @example(m=30, shape="identity", zeros=0.0, seed=0, exponents=[-3.0, -7.0, -6.0],
              max_iter=PICARD_STEPS + 1)
+    @example(m=30, shape="identity", zeros=0.0, seed=0, exponents=[-3.0, -7.0, -6.0],
+             max_iter=20)  # 1e-7 and 1e-6 run out in the Newton phase they enter at step 8
     def test_same_convergence_error_under_a_small_budget(self, m, shape, zeros, seed,
                                                           exponents, max_iter):
         q, k = grid_problem(m, shape, zeros, seed)
