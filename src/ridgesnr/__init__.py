@@ -32,7 +32,7 @@ from .harness import (
     run_scenario,
     verify_theorem,
 )
-from .numerics import nnls_2var, spd_solve, sym_eig
+from .numerics import nnls_2var, sym_eig
 from .rmt import (
     CorrelationSpectrum,
     alpha,
@@ -60,7 +60,7 @@ __all__ = [
     "MetricsRow", "RunConfig", "derive_rng", "dim_sweep",
     "estimate_from_files", "lambda_sensitivity", "run_scenario",
     "verify_theorem",
-    "nnls_2var", "spd_solve", "sym_eig",
+    "nnls_2var", "sym_eig",
     "CorrelationSpectrum", "alpha", "coefficients_grid", "solve_delta_grid",
     "CorrelationSpec", "DistributionSpec", "GroundTruth",
     "ScenarioDefinition", "build_correlation", "sample_truth",

@@ -35,12 +35,6 @@ def format_float(x: float) -> str:
 
 
 def _parse_row(line: str, lineno: int, path: str) -> list[float]:
-    # float() ignores surrounding whitespace and rejects an empty cell as the
-    # per-cell loop does, so the loop only runs to name the first bad cell
-    try:
-        return list(map(float, line.split(",")))
-    except ValueError:
-        pass
     values = []
     for col, cell in enumerate(line.split(","), start=1):
         cell = cell.strip()

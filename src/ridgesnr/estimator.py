@@ -20,9 +20,10 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
-from .exceptions import DimensionError
-from .numerics import nnls_2var, spd_solve
+from .exceptions import DefinitenessError, DimensionError
+from .numerics import nnls_2var
 from .rmt import CorrelationSpectrum, _positive_finite, coefficients_grid
 
 __all__ = [
@@ -102,7 +103,10 @@ class LinearModel:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return self.design.T @ self.design
+        gram = self.design.T @ self.design
+        if not np.isfinite(gram).all():
+            raise DimensionError("Gram matrix W^T W contains non-finite entries")
+        return gram
 
     @cached_property
     def wty(self) -> np.ndarray:
@@ -111,10 +115,11 @@ class LinearModel:
 
 @dataclass(frozen=True, eq=False)
 class RidgeSolution:
-    """Ridge solution and its normalized cost at one penalty."""
+    """Ridge solution, its residual y - W x_hat and its normalized cost at one penalty."""
 
     lam: float
     x_hat: np.ndarray
+    residual: np.ndarray
     phi: float
 
 
@@ -154,8 +159,10 @@ def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
     """Solve min_x ||y - W x||^2 + lam ||x||^2 and evaluate the normalized cost.
 
     The normal equations (W^T W + lam I) x = W^T y are solved by Cholesky, with
-    lam added to the diagonal of a copy of the cached Gram matrix; the cost is
-    evaluated directly from the residual so it is nonnegative even when the
+    lam added to the diagonal of a copy of the cached Gram matrix: one LAPACK
+    ``dposv`` call, the ``dpotrf`` and ``dpotrs`` of ``scipy.linalg.cho_factor``
+    and ``cho_solve`` with their bits, minus their per-call dispatch. The cost
+    is evaluated directly from the residual so it is nonnegative even when the
     two terms nearly cancel.
     """
     if not 0.0 < lam < math.inf:
@@ -163,10 +170,13 @@ def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
     k = model.k
     normal = model.gram.copy()
     normal.flat[:: k + 1] += lam
-    x_hat = spd_solve(normal, model.wty)
+    _, x_hat, info = dposv(normal, model.wty, lower=1)
+    if info > 0:
+        raise DefinitenessError(f"matrix is not positive definite: {info}-th leading minor "
+                                "of the array is not positive definite")
     resid = model.y - model.design @ x_hat
     phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
-    return RidgeSolution(lam=lam, x_hat=x_hat, phi=phi)
+    return RidgeSolution(lam=lam, x_hat=x_hat, residual=resid, phi=phi)
 
 
 def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
@@ -291,8 +301,7 @@ def ml_baseline(model: LinearModel, true_sigma_x2: float) -> SnrEstimate:
     """
     if true_sigma_x2 < 0:
         raise ValueError("true signal variance must be nonnegative")
-    ls = ridge_solve(model, LS_EPSILON)
-    resid = model.y - model.design @ ls.x_hat
+    resid = ridge_solve(model, LS_EPSILON).residual
     sigma_n2 = float(resid @ resid) / model.m
     snr, snr_db = _snr_fields(true_sigma_x2, sigma_n2)
     return SnrEstimate(

@@ -102,6 +102,9 @@ class RunConfig:
             raise ValueError("trials must be at least 1")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be positive")
+        for m, k in self.dims or ():
+            if m < 0 or k < 0:
+                raise ValueError(f"dims {m}x{k} has a negative dimension")
 
     def resolve_scenario(self) -> ScenarioDefinition:
         if isinstance(self.scenario, ScenarioDefinition):

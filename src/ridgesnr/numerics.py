@@ -1,24 +1,18 @@
-"""Dense numerical kernels: symmetric eigendecomposition, SPD solve, and an
-exact two-variable nonnegative least-squares solver.
+"""Dense numerical kernels: symmetric eigendecomposition and an exact
+two-variable nonnegative least-squares solver.
 
-The eigendecomposition and the SPD solve are thin validated fronts over
-LAPACK; the NNLS solver is specialized to two unknowns and solved exactly, by
-one unconstrained fit or else by enumerating the other active sets.
-
-The SPD solve makes one LAPACK ``posv`` call, ``potrf`` then ``potrs``: the
-routines ``scipy.linalg.cho_factor``/``cho_solve`` end in, so its bits are
-theirs. A sweep makes five 40x40 solves per trial, and those wrappers' batch
-handling and per-call lookups cost about as much as the arithmetic at that size.
+The eigendecomposition is a thin validated front over LAPACK; the NNLS solver
+is specialized to two unknowns and solved exactly, by one unconstrained fit or
+else by enumerating the other active sets.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
-from .exceptions import DefinitenessError, DimensionError
+from .exceptions import DimensionError
 
-__all__ = ["sym_eig", "spd_solve", "nnls_2var"]
+__all__ = ["sym_eig", "nnls_2var"]
 
 
 def _as_matrix(a, name: str = "A") -> np.ndarray:
@@ -48,32 +42,6 @@ def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
-
-
-def spd_solve(a, b) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky.
-
-    LAPACK ``dposv`` factors a copy of A as L L^T from its lower triangle and
-    solves with it: the ``dpotrf`` and ``dpotrs`` calls of ``scipy.linalg.cho_factor(a,
-    lower=True)`` and ``cho_solve``, with their bits, minus their per-call dispatch.
-    ``b`` is one right-hand side or a matrix of them; A and b are left unchanged.
-    """
-    a = _as_matrix(a)
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got {a.shape}")
-    if b.ndim not in (1, 2):
-        raise DimensionError(f"right-hand side must be a vector or a matrix, got ndim={b.ndim}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"right-hand side length {b.shape[0]} != matrix order {a.shape[0]}")
-    if not a.size:  # dposv rejects a 0x0 system
-        return np.empty_like(b)
-    # the wrapper checks every shape, so info < 0 (an illegal argument) cannot occur
-    _, x, info = dposv(a, b, lower=1)
-    if info > 0:
-        raise DefinitenessError(f"matrix is not positive definite: {info}-th leading minor "
-                                "of the array is not positive definite")
-    return x
 
 
 def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:

@@ -255,9 +255,9 @@ def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,
     with np.errstate(over="ignore"):
         t = K / lams
         start = t * (float(spectrum.eigenvalues.sum()) / K)
-    _reject_overflow(lams, np.isfinite(t), f"t = K / lambda overflows at K = {K}")
-    _reject_overflow(lams, np.isfinite(start), "t delta overflows at the fixed point's "
-                     "starting iterate delta = tr(Psi) / K")
+    # tr(Psi) > 0, so an infinite t makes start infinite too
+    _reject_overflow(lams, np.isfinite(start), f"t = K / lambda or t delta at the fixed "
+                     f"point's starting iterate delta = tr(Psi) / K overflows at K = {K}")
     delta, steps = solve_delta_grid(spectrum, K, t)
     tr = _psi_t(spectrum.eigenvalues, t, delta)
     denom = 1.0 + t * delta

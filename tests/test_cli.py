@@ -426,6 +426,16 @@ class TestCliRuns:
         assert headers[1].endswith(" dims=16x8")
         assert headers[0] != headers[1]
 
+    # rejected before any trial runs: no plan-failure warning, no numpy error
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dim_sweep_negative_dims_exit_config_error(self, tmp_path, capsys, source):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dims": [[-16, 8]]}))
+        flags = ["--dims", "16x-3"] if source == "flag" else ["--config", str(cfg)]
+        assert cli.main(["dim-sweep", "--trials", "2", "--snr-db", "10", *flags]) == 2
+        pair = "16x-3" if source == "flag" else "-16x8"
+        assert capsys.readouterr() == ("", f"error: dims {pair} has a negative dimension\n")
+
     def test_lambda_sensitivity_runs(self, capsys):
         code = cli.main(["lambda-sensitivity", "--trials", "2", "--snr-db", "10"])
         assert code == 0

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ridgesnr import (
     CorrelationSpec,
     CorrelationSpectrum,
+    DefinitenessError,
     DimensionError,
     DistributionSpec,
     EstimatorPlan,
@@ -18,10 +20,9 @@ from ridgesnr import (
     ridge_costs,
     ridge_solve,
     sample_truth,
-    spd_solve,
     synthesize,
 )
-from ridgesnr.estimator import COST_BLOCK
+from ridgesnr.estimator import COST_BLOCK, LS_EPSILON
 
 
 def identity_model(y: np.ndarray) -> LinearModel:
@@ -127,12 +128,50 @@ class TestRidgeSolve:
     def test_bits_match_dense_normal_equations(self, m, k):
         model = random_model(m + k, m, k)
         for lam in (1e-6, 1e-3, 4e-3, 1.0, 100.0):
-            x_hat = spd_solve(model.gram + lam * np.eye(k), model.wty)
+            factor = sla.cho_factor(model.gram + lam * np.eye(k), lower=True)
+            x_hat = sla.cho_solve(factor, model.wty)
             resid = model.y - model.design @ x_hat
             phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
             solution = ridge_solve(model, lam)
             assert np.array_equal(solution.x_hat, x_hat)
+            assert np.array_equal(solution.residual, resid)
             assert solution.phi == phi
+
+    def test_leaves_cached_gram_and_wty_unchanged(self):
+        model = random_model(11, 80, 40)
+        gram, wty = model.gram.copy(), model.wty.copy()
+        for lam in np.logspace(-6, 2, 9):
+            ridge_solve(model, lam)
+        assert np.array_equal(model.gram, gram)
+        assert np.array_equal(model.wty, wty)
+
+    @staticmethod
+    def twin_column_model() -> LinearModel:
+        # two equal columns of norm 1024, entries +-256 so every product is exact:
+        # 1024^2 + LS_EPSILON rounds to 1024^2, so W^T W + LS_EPSILON I is singular
+        # in floating point and its Cholesky factorization breaks down at column 2
+        rng = np.random.default_rng(12)
+        column = np.zeros(20)
+        column[:16] = 256.0 * rng.choice([-1.0, 1.0], 16)
+        w = np.column_stack([column, column, rng.standard_normal(20)])
+        spec = CorrelationSpectrum.from_diagonal(np.ones(20))
+        return LinearModel(design=w, raw_design=w, spectrum=spec, y=rng.standard_normal(20))
+
+    def test_rejects_a_numerically_singular_normal_matrix(self):
+        model = self.twin_column_model()
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            ridge_solve(model, LS_EPSILON)
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            ml_baseline(model, 1.0)
+        assert ridge_solve(model, 1e-6).phi > 0.0
+
+    def test_rejects_a_gram_that_overflows(self):
+        rng = np.random.default_rng(13)
+        w = 1e160 * rng.standard_normal((20, 10))
+        spec = CorrelationSpectrum.from_diagonal(np.ones(20))
+        model = LinearModel(design=w, raw_design=w, spectrum=spec, y=np.ones(20))
+        with np.errstate(over="ignore"), pytest.raises(DimensionError, match="non-finite"):
+            ridge_solve(model, 1.0)
 
     def test_resolvent_flip_identity(self):
         # W (W^T W + lam I_K)^-1 = (W W^T + lam I_M)^-1 W, for any lam > 0

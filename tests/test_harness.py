@@ -227,6 +227,11 @@ class TestFailedTrials:
                            dims=((16, 0),), parallelism=1)
         assert all(r.trials_failed == 2 for r in dim_sweep(config))
 
+    @pytest.mark.parametrize("dims", [(16, -3), (-16, 8)])
+    def test_negative_dims_are_rejected_by_the_config(self, dims):
+        with pytest.raises(ValueError, match=f"dims {dims[0]}x{dims[1]} has a negative"):
+            RunConfig(scenario="a", trials=2, dims=((16, 8), dims))
+
     def test_invalid_grid_still_aborts_the_run(self):
         config = RunConfig(scenario="a", trials=2, master_seed=8, snr_points_db=(10.0,),
                            lambda_grid=(1e-3, -1e-3), parallelism=1)

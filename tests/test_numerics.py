@@ -1,10 +1,9 @@
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from ridgesnr import DefinitenessError, DimensionError, nnls_2var, spd_solve, sym_eig
+from ridgesnr import DimensionError, nnls_2var, sym_eig
 
 
 def nnls_grid_oracle(xi: np.ndarray, phi: np.ndarray) -> float:
@@ -86,54 +85,6 @@ class TestSymEig:
         scale = max(np.max(np.abs(a)), 1e-30)
         assert np.max(np.abs(a - rebuilt)) <= 1e-8 * scale
         assert abs(w.sum() - np.trace(a)) <= 1e-9 * scale * n
-
-
-class TestSpdSolve:
-    def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(spd_solve(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        x = spd_solve([[4.0, 0.0], [0.0, 9.0]], [8.0, 27.0])
-        assert x == pytest.approx([2.0, 3.0], abs=1e-14)
-
-    def test_residual_random_spd(self):
-        rng = np.random.default_rng(7)
-        b_mat = rng.standard_normal((6, 6))
-        a = b_mat.T @ b_mat + np.eye(6)
-        rhs = rng.standard_normal(6)
-        x = spd_solve(a, rhs)
-        resid = np.linalg.norm(a @ x - rhs)
-        bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(rhs))
-        assert resid <= bound
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_bits_match_cho_solve(self, order):
-        rng = np.random.default_rng(10)
-        for n in range(1, 81):
-            b_mat = rng.standard_normal((2 * n, n))
-            a = np.asarray(b_mat.T @ b_mat + 1e-3 * np.eye(n), order=order)
-            rhs = rng.standard_normal(n)
-            a_before, rhs_before = a.copy(order="K"), rhs.copy()
-            x = spd_solve(a, rhs)
-            expected = sla.cho_solve(sla.cho_factor(a, lower=True), rhs)
-            assert x.shape == (n,)
-            assert np.array_equal(x, expected), n
-            assert np.array_equal(a, a_before) and np.array_equal(rhs, rhs_before)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(DefinitenessError):
-            spd_solve([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0])
-
-    def test_rejects_singular_psd(self):
-        with pytest.raises(DefinitenessError, match="not positive definite"):
-            spd_solve(np.ones((3, 3)), np.ones(3))
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(DimensionError):
-            spd_solve(np.eye(3), np.ones(4))
-        with pytest.raises(DimensionError):
-            spd_solve(np.eye(3), np.ones((3, 1, 1)))
 
 
 class TestNnls2Var:

@@ -21,6 +21,20 @@ def test_every_exported_name_resolves():
     assert not stale
 
 
+def test_public_api_is_pinned():
+    # adding or dropping a public name is a deliberate change to this list
+    assert sorted(ridgesnr.__all__) == [
+        "ConvergenceError", "CorrelationSpec", "CorrelationSpectrum", "DataFormatError",
+        "DefinitenessError", "DimensionError", "DistributionSpec", "EstimatorPlan",
+        "GroundTruth", "LinearModel", "MetricsRow", "RidgeSnrError", "RidgeSolution",
+        "RunConfig", "ScenarioDefinition", "SnrEstimate", "__version__", "alpha",
+        "build_correlation", "coefficients_grid", "derive_rng", "dim_sweep",
+        "estimate_from_files", "estimate_snr", "lambda_sensitivity", "ml_baseline",
+        "nnls_2var", "ridge_costs", "ridge_solve", "run_scenario", "sample_truth",
+        "scenario_catalog", "solve_delta_grid", "sym_eig", "synthesize", "verify_theorem",
+    ]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
