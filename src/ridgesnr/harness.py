@@ -246,11 +246,10 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     """Run every SNR point of each block, aggregate both methods, write outputs.
 
     A block is (m, k, grid, grid_label, key_prefix); trial t at point p draws
-    from stream key_prefix + (p, t). The correlation is built once per m and
-    the estimator plan once per block, since neither depends on the SNR.
+    from stream key_prefix + (p, t). The correlation and the estimator plan are
+    built once per block, since neither depends on the SNR.
     """
     points = config.snr_points_db or definition.snr_points_db
-    spectra: dict[int, CorrelationSpectrum] = {}
     rows: list[MetricsRow] = []
     records: list[TrialRecord] = []
     trials = config.trials
@@ -262,16 +261,15 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     with ProcessPoolExecutor(workers) if pooled else nullcontext() as pool:
         run = pool.map if pooled else map
         for m, k, grid, label, key_prefix in blocks:
-            if m not in spectra:
-                spectra[m] = _correlation_for(definition, m, config.master_seed)
+            spectrum = _correlation_for(definition, m, config.master_seed)
             try:
-                plan = EstimatorPlan(spectra[m], m, k, grid)
+                plan = EstimatorPlan(spectrum, m, k, grid)
             except RidgeSnrError as exc:
                 log.warning("estimator plan for %dx%d failed; proposed fails on every trial: %s",
                             m, k, exc)
                 plan = None
             for point_idx, snr_db in enumerate(points):
-                task = partial(_run_trial_block, (spectra[m], m, k, plan), definition, snr_db,
+                task = partial(_run_trial_block, (spectrum, m, k, plan), definition, snr_db,
                                config.master_seed, (*key_prefix, point_idx))
                 pairs = [pair for part in run(task, los, his) for pair in part]
                 for method, estimates in zip(("proposed", "ml"), zip(*pairs)):

@@ -8,6 +8,8 @@ else by enumerating the other active sets.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import DimensionError
@@ -53,7 +55,9 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
     at once; otherwise keeping the feasible one of the other three candidates
     (x only, n only, zero) with the smallest objective is exhaustive. Rank-deficient
     subproblems fall back to the minimum-norm solution; the all-zero candidate
-    is always feasible, so the solver never fails.
+    is always feasible, so the solver never fails. phi is first scaled by the power
+    of two 2^-e that brings max |phi| into [0.5, 1), and sigma and the residual
+    back by 2^e: exact in every flop, and no square of a cost near 1e200 overflows.
 
     Returns (sigma, residual_norm) with residual_norm = ||phi - Xi @ sigma||_2.
     """
@@ -69,21 +73,20 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
     if not np.isfinite(phi).all():
         raise DimensionError("phi contains non-finite entries")
 
+    exponent = math.frexp(float(np.abs(phi).max()))[1]
+    phi = np.ldexp(phi, -exponent)
     sigma, *_ = np.linalg.lstsq(xi, phi, rcond=None)
-    if np.all(sigma >= 0):
-        return sigma, float(np.linalg.norm(phi - xi @ sigma))
-    best_sigma = None
-    best_obj = np.inf
-    for free in ([0], [1], []):
-        sigma = np.zeros(2)
-        if free:
-            sol, *_ = np.linalg.lstsq(xi[:, free], phi, rcond=None)
-            sigma[free] = sol
-        if np.any(sigma < 0):
-            continue
-        obj = 0.5 * np.sum((phi - xi @ sigma) ** 2)
-        if obj < best_obj:
-            best_obj = obj
-            best_sigma = sigma
-    residual = float(np.linalg.norm(phi - xi @ best_sigma))
-    return best_sigma, residual
+    if not np.all(sigma >= 0):
+        best_obj = np.inf
+        for free in ([0], [1], []):
+            candidate = np.zeros(2)
+            if free:
+                sol, *_ = np.linalg.lstsq(xi[:, free], phi, rcond=None)
+                candidate[free] = sol
+            if np.any(candidate < 0):
+                continue
+            obj = 0.5 * np.sum((phi - xi @ candidate) ** 2)
+            if obj < best_obj:
+                best_obj, sigma = obj, candidate
+    residual = float(np.linalg.norm(phi - xi @ sigma))
+    return np.ldexp(sigma, exponent), math.ldexp(residual, exponent)

@@ -92,30 +92,23 @@ class CorrelationSpectrum:
     def diagonal(self) -> bool:
         return self.basis is None
 
-    @cached_property
-    def sqrt_eigenvalues(self) -> np.ndarray:
-        """Square roots of the eigenvalues; cached because scenario synthesis reuses them."""
-        return np.sqrt(self.eigenvalues)
+    def _compose(self, values: np.ndarray) -> np.ndarray:
+        """U diag(values) U^T: dense, or the vector ``values`` itself when Psi is diagonal."""
+        return values if self.diagonal else self.basis @ (values[:, None] * self.basis.T)
 
     @cached_property
-    def sqrt_matrix(self) -> np.ndarray:
-        """Dense Psi^(1/2); cached because scenario synthesis reuses it per trial."""
-        root = self.sqrt_eigenvalues
-        if self.diagonal:
-            return np.diag(root)
-        return self.basis @ (root[:, None] * self.basis.T)
+    def _root(self) -> np.ndarray:
+        """Psi^(1/2) as ``_compose`` gives it; cached because scenario synthesis reuses it."""
+        return self._compose(np.sqrt(self.eigenvalues))
 
     def sqrt_apply(self, matrix: np.ndarray) -> np.ndarray:
-        """Psi^(1/2) @ matrix without forming the dense square root in the diagonal case."""
-        if self.diagonal:
-            return self.sqrt_eigenvalues[:, None] * matrix
-        return self.sqrt_matrix @ matrix
+        """Psi^(1/2) @ matrix, a row scaling when Psi is diagonal."""
+        return self._root[:, None] * matrix if self.diagonal else self._root @ matrix
 
     def matrix(self) -> np.ndarray:
         """Reconstruct dense Psi."""
-        if self.diagonal:
-            return np.diag(self.eigenvalues)
-        return self.basis @ (self.eigenvalues[:, None] * self.basis.T)
+        psi = self._compose(self.eigenvalues)
+        return np.diag(psi) if self.diagonal else psi
 
     @classmethod
     def from_matrix(cls, psi) -> "CorrelationSpectrum":
@@ -217,11 +210,11 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     rows = np.flatnonzero(unsolved & (steps < max_iter))  # a t with no steps left stays open
     t, delta = ts[rows], deltas[rows]
     while rows.size:
-        c = t / (1.0 + t * delta)
-        u = 1.0 / (1.0 + np.multiply.outer(c, q))
+        cq = np.multiply.outer(t / (1.0 + t * delta), q)
+        u = 1.0 / (1.0 + cq)
         b = (K - q.size + np.sum(u, axis=1)) / K
         gap = delta * b - (1.0 - b) / t
-        step = gap / (1.0 - c * c * np.sum((q * u) ** 2, axis=1) / K)
+        step = gap / (1.0 - np.sum((cq * u) ** 2, axis=1) / K)  # c q u < 1: no overflow
         nxt = delta - step
         steps[rows] += 1
         done = np.abs(step) <= tol * np.maximum(delta, 1.0)

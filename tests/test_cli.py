@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ridgesnr import cli
+from ridgesnr import cli, dataio
 from ridgesnr.dataio import (
     dump_model,
     load_model,
@@ -28,16 +29,20 @@ CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 PADDING = st.sampled_from(["", " ", "\t", "  "])
 
 
-@pytest.fixture()
-def dumped_model(tmp_path):
-    """Model files produced by the scenario dump path, plus the grid used."""
-    out_dir = tmp_path / "dump"
+def dump_scenario(out_dir: Path, name: str) -> Path:
+    """Model files of scenario ``name`` produced by the scenario dump path, plus the grid used."""
     code = cli.main([
-        "scenario", "a", "--trials", "2", "--seed", "3",
+        "scenario", name, "--trials", "2", "--seed", "3",
         "--snr-db", "10", "--dump", str(out_dir),
     ])
     assert code == 0
     return out_dir
+
+
+@pytest.fixture()
+def dumped_model(tmp_path):
+    """Model files produced by the scenario dump path, plus the grid used."""
+    return dump_scenario(tmp_path / "dump", "a")
 
 
 class TestDataIO:
@@ -210,18 +215,21 @@ class TestDataIO:
 
 
 class TestCliEstimate:
-    def test_roundtrip_matches_dumped_estimate(self, dumped_model, capsys):
-        grid = (dumped_model / "lambdas.csv").read_text().strip()
-        code = cli.main([
-            "estimate", str(dumped_model / "y.csv"), str(dumped_model / "wbar.csv"),
-            str(dumped_model / "psi.csv"), "--lambdas", grid, "--json",
-        ])
-        assert code == 0
-        reported = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        recorded = json.loads((dumped_model / "estimate.json").read_text())
-        assert reported["snr_db"] == pytest.approx(recorded["snr_db"], abs=1e-6)
-        assert reported["sigma_x2_hat"] == pytest.approx(recorded["sigma_x2_hat"], rel=1e-8)
-        assert reported["sigma_n2_hat"] == pytest.approx(recorded["sigma_n2_hat"], rel=1e-8)
+    def test_roundtrip_matches_dumped_estimate(self, tmp_path, capsys):
+        # scenario a writes psi.csv as a diag: row; b's Bessel Psi is dense and written in full
+        for name in ("a", "b"):
+            dumped_model = dump_scenario(tmp_path / name, name)
+            grid = (dumped_model / "lambdas.csv").read_text().strip()
+            code = cli.main([
+                "estimate", str(dumped_model / "y.csv"), str(dumped_model / "wbar.csv"),
+                str(dumped_model / "psi.csv"), "--lambdas", grid, "--json",
+            ])
+            assert code == 0
+            reported = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            recorded = json.loads((dumped_model / "estimate.json").read_text())
+            assert reported["snr_db"] == pytest.approx(recorded["snr_db"], abs=1e-6)
+            assert reported["sigma_x2_hat"] == pytest.approx(recorded["sigma_x2_hat"], rel=1e-8)
+            assert reported["sigma_n2_hat"] == pytest.approx(recorded["sigma_n2_hat"], rel=1e-8)
 
     def test_missing_file_exits_config_error(self, tmp_path, capsys):
         code = cli.main([
@@ -524,3 +532,36 @@ class TestCliRuns:
         with pytest.raises(SystemExit) as err:
             cli.main(["scenario", "zz", "--trials", "2"])
         assert err.value.code == 2
+
+
+def _exit_code(argv) -> int:
+    """cli.main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-theorem", "--trials", "2", "--lambdas", "0.1,oops"], "bad lambda list: '0.1,oops'"),
+    (["verify-theorem", "--trials", "2", "--lambdas", ","], "empty lambda list"),
+    (["scenario", "a", "--trials", "2", "--snr-db", "5:1:1"], "bad SNR range: '5:1:1'"),
+    (["dim-sweep", "--trials", "2", "--dims", "31by30"], "bad dims token: '31by30'"),
+    (["scenario", "a", "--trials", "2", "--config", "{config}"], "config must be a JSON object"),
+], ids=["lambdas", "empty lambdas", "snr range", "dims", "config list"])
+def test_cli_input_checks(tmp_path, capsys, argv, message):
+    config = tmp_path / "run.json"
+    config.write_text("[1, 2]")
+    assert _exit_code([arg.format(config=config) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, reader, message", [
+    ("y.csv", "1,2\n3,4\n", "read_vector", "expected a vector, got shape (2, 2)"),
+    ("psi.csv", "diag:1,nan\n", "read_correlation", "invalid diagonal"),
+], ids=["vector", "diagonal"])
+def test_dataio_input_checks(tmp_path, name, text, reader, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        getattr(dataio, reader)(path)

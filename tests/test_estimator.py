@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -426,6 +427,29 @@ class TestEstimateSnr:
         assert est_scaled.sigma_n2_hat == pytest.approx(scale ** 2 * est.sigma_n2_hat, rel=1e-9)
         assert est_scaled.snr_linear == pytest.approx(est.snr_linear, rel=1e-9)
 
+    @pytest.mark.parametrize("exponent", [300, -300])
+    def test_power_of_two_scale_of_y_is_exact(self, exponent):
+        # every cost scales by c^2 = 2^(2 exponent) exactly, and so do both variances
+        base = random_model(11, m=60, k=24)
+        scale = math.ldexp(1.0, exponent)
+        scaled = LinearModel(design=base.design, raw_design=base.raw_design,
+                             spectrum=base.spectrum, y=scale * base.y)
+        grid = [1e-3, 3e-3, 9e-3]
+        est, est_scaled = estimate_snr(base, grid), estimate_snr(scaled, grid)
+        assert est_scaled.sigma_x2_hat == scale ** 2 * est.sigma_x2_hat
+        assert est_scaled.sigma_n2_hat == scale ** 2 * est.sigma_n2_hat
+        assert est_scaled.snr_db == est.snr_db
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100, 1e10, 1e-10])
+    def test_any_scale_of_y_keeps_snr_db(self, scale):
+        # costs near 1e200 are fitted without overflow
+        base = random_model(11, m=60, k=24)
+        scaled = LinearModel(design=base.design, raw_design=base.raw_design,
+                             spectrum=base.spectrum, y=scale * base.y)
+        grid = [1e-3, 3e-3, 9e-3]
+        assert estimate_snr(scaled, grid).snr_db == pytest.approx(
+            estimate_snr(base, grid).snr_db, rel=0.0, abs=1e-12)
+
     def test_pure_noise_monte_carlo(self):
         spec = build_correlation(CorrelationSpec(kind="diag_uniform", dim=120, seed=0))
         sig = DistributionSpec.gaussian(0.0)
@@ -511,3 +535,23 @@ class TestMlBaseline:
     def test_rejects_negative_signal_variance(self):
         with pytest.raises(ValueError):
             ml_baseline(random_model(12), -1.0)
+
+
+def _model_with(**changes) -> LinearModel:
+    """A valid 4x2 model with the given fields replaced."""
+    fields = dict(design=np.ones((4, 2)), raw_design=np.ones((4, 2)),
+                  spectrum=CorrelationSpectrum.from_diagonal(np.ones(4)), y=np.ones(4))
+    return LinearModel(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _model_with(spectrum=CorrelationSpectrum.from_diagonal(np.ones(3))),
+     "correlation dim 3 != design rows 4"),
+    (lambda: _model_with(design=np.ones(4)), "design must be a matrix"),
+    (lambda: _model_with(raw_design=np.ones((4, 3))), "raw design shape (4, 3) != design shape (4, 2)"),
+    (lambda: _model_with(y=np.array([1.0, np.nan, 1.0, 1.0])), "model contains non-finite entries"),
+    (lambda: next(ridge_costs(np.ones(4), [np.ones(4)], [1.0])), "design must be a matrix"),
+], ids=["spectrum dim", "design ndim", "raw design shape", "non-finite", "ridge_costs ndim"])
+def test_input_checks(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -512,3 +513,12 @@ class TestPinnedOutput:
         verify_theorem(RunConfig(scenario="fig1", trials=4, master_seed=3,
                                  output_path=str(out)))
         assert _sha256(out) == _PINNED_THEOREM
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(trials=0), "trials must be at least 1"),
+    (dict(parallelism=0), "parallelism must be positive"),
+], ids=["trials", "parallelism"])
+def test_input_checks(changes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(**changes)

@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,3 +133,14 @@ class TestNnls2Var:
         unconstrained, *_ = np.linalg.lstsq(xi, phi, rcond=None)
         clamped = np.maximum(unconstrained, 0.0)
         assert best <= objective(xi, phi, clamped) + 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sym_eig(np.ones(3)), "A must be two-dimensional"),
+    (lambda: sym_eig([[1.0, np.nan], [np.nan, 1.0]]), "A contains non-finite entries"),
+    (lambda: nnls_2var(np.ones((3, 2)), np.ones(4)), "phi length (4,) does not match Xi rows 3"),
+    (lambda: nnls_2var(np.ones((3, 2)), [1.0, np.inf, 1.0]), "phi contains non-finite entries"),
+], ids=["ndim", "non-finite matrix", "phi length", "non-finite phi"])
+def test_input_checks(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,11 +10,15 @@ from ridgesnr import (
     ConvergenceError,
     CorrelationSpectrum,
     DefinitenessError,
+    DimensionError,
     alpha,
     coefficients_grid,
+    scenario_catalog,
     solve_delta_grid,
 )
+from ridgesnr.harness import _correlation_for
 from ridgesnr.rmt import PICARD_STEPS
+from ridgesnr.scenarios import SCENARIO_NAMES
 
 DEFAULT_GRID = (1e-3, 2e-3, 3e-3, 4e-3)
 TINY_GRID = (1e-6, 2e-6, 3e-6, 4e-6)
@@ -105,7 +110,7 @@ def per_penalty_delta(q: np.ndarray, k: int, t: float, tol: float = 1e-12,
             hi = delta
         else:
             lo = delta
-        slope = 1.0 - c * c * float(np.sum((q * u) ** 2)) / k
+        slope = 1.0 - float(np.sum((c * q * u) ** 2)) / k
         step = gap / slope if slope > 0 else math.inf
         if abs(step) <= tol * max(delta, 1.0):
             return delta - step, iteration
@@ -256,6 +261,16 @@ class TestSquareSystems:
             picard_iterate = fixed_point_map(spec.eigenvalues, 30, t, picard_iterate)
         assert closed_form_delta(t) < err.value.last_iterate < picard_iterate
 
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 1e200], ids=["2^600", "1e200"])
+    def test_newton_finish_scales_with_psi(self, scale):
+        # Psi = s I with t / s has the root s delta; Newton's slope squares
+        # c q u < 1, which stays finite where (q u)^2 would overflow
+        q, ts = np.ones(60), 60 / np.array([1e-6, 2e-6, 1e-3])
+        assert plain_picard(q, 60, ts[0]) is None  # the Newton phase runs
+        deltas, _ = solve_delta_grid(CorrelationSpectrum.from_diagonal(q), 60, ts)
+        scaled, _ = solve_delta_grid(CorrelationSpectrum.from_diagonal(scale * q), 60, ts / scale)
+        assert scaled == pytest.approx(scale * deltas, rel=1e-13, abs=0.0)
+
     def test_picard_result_is_returned_unchanged(self):
         rng = np.random.default_rng(14)
         q = rng.uniform(0.0, 2.0, 80)
@@ -343,6 +358,38 @@ class TestGridSolver:
         assert (err.value.last_iterate, err.value.residual) == \
             (expected.last_iterate, expected.residual)
         assert f"lambda={k / t:g}, t={t:g}," in str(err.value)
+
+
+def catalog_blocks(name: str, seed: int):
+    """(spectrum, K, grid) of every block a sweep or theorem check of catalog
+    entry ``name`` runs at master seed ``seed``, each spectrum built as the runs build it."""
+    definition = scenario_catalog(name, seed=seed)
+    for m, k in {definition.dims, *definition.dims_list}:
+        spectrum = _correlation_for(definition, m, seed)
+        for grid in {definition.lambda_grid, *definition.lambda_grids}:
+            yield spectrum, k, grid
+
+
+class TestCatalogStaysInPicard:
+    """No pinned catalog output reaches the Newton phase: every penalty of every
+    catalog block finishes in plain Picard, with its bits and step count."""
+
+    @staticmethod
+    def assert_plain_picard(name: str, seed: int) -> None:
+        for spectrum, k, grid in catalog_blocks(name, seed):
+            ts = k / np.asarray(grid)
+            deltas, steps = solve_delta_grid(spectrum, k, ts)
+            for t, delta, step in zip(ts, deltas, steps):
+                assert plain_picard(spectrum.eigenvalues, k, t) == (delta, step)
+
+    def test_scenario_a_at_every_reference_seed(self):
+        for seed in range(200):
+            self.assert_plain_picard("a", seed)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "a"])
+    def test_other_catalog_blocks(self, name, seed):
+        self.assert_plain_picard(name, seed)
 
 
 class TestTraceFunctional:
@@ -502,3 +549,22 @@ class TestCorrelationSpectrum:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(Exception):
             CorrelationSpectrum(eigenvalues=np.ones(2), basis=np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CorrelationSpectrum(eigenvalues=np.array([])), DimensionError,
+     "eigenvalues must be a nonempty vector"),
+    (lambda: CorrelationSpectrum.from_diagonal([1.0, math.inf]), DimensionError,
+     "eigenvalues contain non-finite entries"),
+    (lambda: CorrelationSpectrum(eigenvalues=np.ones(2), basis=np.eye(3)), DimensionError,
+     "basis shape (3, 3) does not match dim 2"),
+    (lambda: CorrelationSpectrum.from_matrix(np.zeros((3, 3))), DefinitenessError,
+     "correlation matrix has no positive eigenvalue"),
+    (lambda: solve_delta_grid(CorrelationSpectrum.from_diagonal(np.ones(3)), 0, [1.0]),
+     ValueError, "K must be at least 1, got 0"),
+    (lambda: coefficients_grid(CorrelationSpectrum.from_diagonal(np.ones(4)), 5, 2, [1.0]),
+     DimensionError, "spectrum dim 4 != M = 5"),
+], ids=["empty", "non-finite", "basis shape", "zero matrix", "K", "M"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.special
 from ridgesnr import (
     CorrelationSpec,
     CorrelationSpectrum,
+    DimensionError,
     DistributionSpec,
     build_correlation,
     derive_rng,
@@ -238,3 +240,18 @@ class TestCatalog:
 
     def test_names_are_stable(self):
         assert SCENARIO_NAMES == ("a", "b", "c", "d", "g", "h", "i", "fig1")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CorrelationSpec(kind="identity", dim=0), DimensionError, "dim must be positive"),
+    (lambda: DistributionSpec("cauchy", 1.0), ValueError, "unknown distribution kind 'cauchy'"),
+    (lambda: DistributionSpec.gaussian(-1.0), ValueError, "scale parameter must be nonnegative"),
+    (lambda: synthesize(CorrelationSpectrum.from_diagonal(np.ones(4)),
+                        sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(1.0),
+                                     5, 3, np.random.default_rng(0)),
+                        np.random.default_rng(1)),
+     DimensionError, "noise length 5 != correlation dim 4"),
+], ids=["dim", "kind", "scale", "noise length"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
