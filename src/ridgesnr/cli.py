@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 from . import dataio, harness
@@ -246,9 +247,23 @@ def _cmd_lambda_sensitivity(args) -> int:
     return EXIT_OK
 
 
+def _attach_dash_values(argv) -> list[str]:
+    """Join each value-taking run flag to a next token that starts with '-' and a digit
+    or '.' ('--snr-db -4:20:2' becomes '--snr-db=-4:20:2'), which argparse would
+    otherwise read as an option unless it is a plain number."""
+    takes_value = {flag for flag, spec in _RUN_FLAGS.items() if "action" not in spec} | {"--dims"}
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in takes_value and re.match(r"-[\d.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         handler = {
             "estimate": _cmd_estimate,

@@ -16,14 +16,10 @@ where the coefficients are spectral functionals of Psi:
 
 Everything is evaluated in the eigenbasis of Psi, so no M x M resolvent is
 ever materialized. ``solve_delta_grid`` solves a whole penalty grid together,
-one row of a (penalties x eigenvalues) array per penalty: Picard iteration for
-up to ``PICARD_STEPS`` steps, then Newton's method where the map contracts
-slowly (square systems at small penalties). A penalty leaves Picard early, at
-a power-of-two step, once its step and step ratio show that Picard cannot
-finish it within ``PICARD_STEPS`` steps; every penalty Picard can finish keeps
-plain Picard's result. Newton needs no bracket: g(d) =
-d - F(d) is convex with g(0) < 0, so from at or above the root it descends
-without overshooting. ``coefficients_grid`` returns the rows (xi1, xi2) of Xi.
+one row of a (penalties x eigenvalues) array per penalty: Picard iteration,
+then Newton's method for the penalties Picard cannot finish within
+``PICARD_STEPS`` steps (square systems at small penalties).
+``coefficients_grid`` returns the rows (xi1, xi2) of Xi.
 """
 
 from __future__ import annotations
@@ -163,69 +159,64 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     over an interval that moves down, so the ratio r_j = s_j / s_(j-1) never
     falls, while the bound tol * max(F, 1) never rises. A t whose
     s_j r_j^(PICARD_STEPS - j) exceeds its bound at a power-of-two step j >= 4
-    therefore cannot finish within ``PICARD_STEPS`` steps (Picard's rate nears 1
-    on square systems); it leaves Picard then, as does a t still open after
-    ``PICARD_STEPS`` steps. Every t that Picard can finish keeps the bits
-    and step count of plain Picard iteration.
+    therefore cannot finish within ``PICARD_STEPS`` steps; Picard hands it on to
+    Newton then, as it does every t still open after ``PICARD_STEPS`` steps.
+    Every t that Picard can finish keeps the bits and step count of plain Picard.
 
-    The t that leave finish with Newton on the convex g(d) = d - F(d), from
-    their last Picard iterate, at or above the root; g(0) < 0, so g rises from
-    the root on and Newton descends to it without overshooting. A step of at
-    most tol * max(delta, 1) ends with delta minus that step. g is evaluated as
-    d B - (1 - B) / t, B = (K - M + sum_i 1 / (1 + c q_i)) / K, a sum of positive
-    terms near M = K, where d - F(d) cancels and would leave the root up to
-    1e-12 relative off.
+    Newton runs on the convex g(d) = d - F(d) from the handed-on iterate, at or
+    above the root; g(0) < 0, so from there it can only descend. It stops on a
+    step of at most tol * max(delta, 1), or on one that is not positive: that is
+    the rounding of g, which near a tiny slope g' would otherwise make Newton
+    cycle about the root. Either way it keeps delta minus that step. g is
+    evaluated as d B - (1 - B) / t, B = (K - M + sum_i 1 / (1 + c q_i)) / K, a
+    sum of positive terms near M = K, where d - F(d) cancels.
 
-    ``max_iter`` bounds the steps of both phases of each t together;
-    ConvergenceError names the first t of the grid that uses it up. Returns
-    arrays (delta, steps taken) over ``ts``, with
+    ``max_iter`` (at least 1) bounds the steps of both phases of each t
+    together; ConvergenceError names the first t of the grid that uses it up.
+    Returns arrays (delta, steps taken) over ``ts``, with
     |delta - F(delta)| <= tol * max(delta, 1).
     """
     ts = _positive_finite(ts, "t")
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     q = spectrum.eigenvalues
     deltas, steps = np.full(ts.size, float(q.sum()) / K), np.zeros(ts.size, dtype=int)
-    unsolved = np.zeros(ts.size, dtype=bool)  # the t handed to Newton and still open there
-    picard_steps = min(max_iter, PICARD_STEPS)
+    newton = np.zeros(ts.size, dtype=bool)  # the t Picard hands on, until Newton stops them
     rows, t, delta = np.arange(ts.size), ts, deltas.copy()
-    for iteration in range(1, picard_steps + 1):
+    for iteration in range(1, PICARD_STEPS + 1):
         if not rows.size:
             break
         nxt = _psi_t(q, t, delta) / K
         step = np.abs(nxt - delta)
         bound = tol * np.maximum(nxt, 1.0)
         leave = step <= bound
-        if iteration >= 4 and iteration & (iteration - 1) == 0:  # the docstring's exit test
-            stuck = step * (step / last) ** (PICARD_STEPS - iteration) > bound
-            if stuck.any():
-                stuck &= ~leave
-                unsolved[rows[stuck]] = True
-                leave |= stuck
-        if leave.any():  # retire the converged t, hand on the stuck ones
+        if iteration in (max_iter, PICARD_STEPS):  # Picard's last step hands every open t on
+            newton[rows[~leave]] = True
+            leave[:] = True
+        elif iteration >= 4 and iteration & (iteration - 1) == 0:  # the docstring's exit test
+            stuck = ~leave & (step * (step / last) ** (PICARD_STEPS - iteration) > bound)
+            newton[rows[stuck]] = True
+            leave |= stuck
+        if leave.any():
             deltas[rows[leave]], steps[rows[leave]] = nxt[leave], iteration
             rows, t, nxt, step = (a[~leave] for a in (rows, t, nxt, step))
         delta, last = nxt, step
-    deltas[rows], steps[rows], unsolved[rows] = delta, picard_steps, True
-    rows = np.flatnonzero(unsolved & (steps < max_iter))  # a t with no steps left stays open
-    t, delta = ts[rows], deltas[rows]
+    rows = np.flatnonzero(newton & (steps < max_iter))
     while rows.size:
+        t, delta = ts[rows], deltas[rows]
         cq = np.multiply.outer(t / (1.0 + t * delta), q)
         u = 1.0 / (1.0 + cq)
         b = (K - q.size + np.sum(u, axis=1)) / K
         gap = delta * b - (1.0 - b) / t
         step = gap / (1.0 - np.sum((cq * u) ** 2, axis=1) / K)  # c q u < 1: no overflow
-        nxt = delta - step
-        steps[rows] += 1
-        done = np.abs(step) <= tol * np.maximum(delta, 1.0)
-        unsolved[rows[done]] = False
-        leave = done | (steps[rows] >= max_iter)
-        if leave.any():  # retire the converged t and those out of steps
-            deltas[rows[leave]] = nxt[leave]
-            rows, t, nxt = (a[~leave] for a in (rows, t, nxt))
-        delta = nxt
-    if unsolved.any():
-        row = int(np.argmax(unsolved))
+        deltas[rows], steps[rows] = delta - step, steps[rows] + 1
+        done = step <= tol * np.maximum(delta, 1.0)  # a step that does not descend is rounding
+        newton[rows[done]] = False
+        rows = rows[~done & (steps[rows] < max_iter)]
+    if newton.any():
+        row = int(np.argmax(newton))
         t, last = ts[row], deltas[row]
         residual = float(abs(_psi_t(q, t, last) / K - last))
         raise ConvergenceError(f"fixed point did not converge in {max_iter} iterations "

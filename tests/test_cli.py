@@ -444,6 +444,21 @@ class TestCliRuns:
         pair = "16x-3" if source == "flag" else "-16x8"
         assert capsys.readouterr() == ("", f"error: dims {pair} has a negative dimension\n")
 
+    def test_dim_sweep_dash_led_dims_after_a_space(self, capsys):
+        assert cli.main(["dim-sweep", "--trials", "2", "--snr-db", "10", "--dims", "-16x8"]) == 2
+        assert capsys.readouterr() == ("", "error: dims -16x8 has a negative dimension\n")
+
+    # a value that starts with '-' and a digit is the flag's value, not an option
+    @pytest.mark.parametrize("snr", ["-4:20:2", "-4,0"])
+    def test_dash_led_snr_points_after_a_space(self, tmp_path, capsys, snr):
+        written = []
+        for flags in (["--snr-db", snr], [f"--snr-db={snr}"]):
+            out = tmp_path / f"{len(flags)}.csv"
+            assert cli.main(["scenario", "a", "--trials", "2", *flags, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert b"\n-4,proposed," in written[0]
+
     def test_lambda_sensitivity_runs(self, capsys):
         code = cli.main(["lambda-sensitivity", "--trials", "2", "--snr-db", "10"])
         assert code == 0

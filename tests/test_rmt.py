@@ -282,6 +282,43 @@ class TestSquareSystems:
             assert iters <= PICARD_STEPS
 
 
+class TestWideRangeSpectra:
+    """Psi = diag(logspace(-a, a, M)): where about K eigenvalues dominate, Newton's
+    slope at the root is tiny and the rounding of the gap makes steps that do not
+    descend; the solve must stop on them rather than cycle through its budget."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, TINY_GRID, (0.1, 0.2, 0.3, 0.4)],
+                             ids=["1e-3", "1e-6", "0.1"])
+    @pytest.mark.parametrize("share", [4, 2, 1], ids=["K=M/4", "K=M/2", "K=M"])
+    @pytest.mark.parametrize("m", [40, 80, 160])
+    @pytest.mark.parametrize("a", [10, 50, 150, 300])
+    def test_keeps_the_residual_contract(self, a, m, share, grid):
+        q, k = np.logspace(-a, a, m), m // share
+        ts = k / np.asarray(grid)
+        deltas, _ = solve_delta_grid(CorrelationSpectrum.from_diagonal(q), k, ts)
+        for t, delta in zip(ts, deltas.tolist()):
+            assert abs(delta - fixed_point_map(q, k, t, delta)) <= 1e-12 * max(delta, 1.0)
+
+    def test_stops_beside_the_60_digit_root(self):
+        # 40 eigenvalues have c q > 1, so Newton's slope at the root is about 3.5e-5 and
+        # the rounding of g makes steps above the stop bound; the solve still ends
+        # early, and g = d - F(d) changes sign within 1e-10 relative of each root
+        q, k = np.logspace(-300, 300, 80), 40
+        ts = k / np.asarray(DEFAULT_GRID)
+        deltas, steps = solve_delta_grid(CorrelationSpectrum.from_diagonal(q), k, ts)
+        assert steps.max() < 2 * PICARD_STEPS
+        with mpmath.workdps(60):
+            qs = [mpmath.mpf(float(v)) for v in q]
+
+            def gap(t, d):
+                c = mpmath.mpf(t) / (1 + mpmath.mpf(t) * d)
+                return d - mpmath.fsum(v / (1 + c * v) for v in qs) / k
+
+            for t, delta in zip(ts, deltas.tolist()):
+                assert gap(t, mpmath.mpf(delta * (1 - 1e-10))) < 0 < \
+                    gap(t, mpmath.mpf(delta * (1 + 1e-10)))
+
+
 def grid_problem(m: int, shape: str, zeros: float, seed: int) -> tuple[np.ndarray, int]:
     """Eigenvalues and K for a square, identity, tall or wide system; ``zeros`` is
     the share of eigenvalues set to zero (a rank-deficient Psi)."""
@@ -562,9 +599,11 @@ class TestCorrelationSpectrum:
      "correlation matrix has no positive eigenvalue"),
     (lambda: solve_delta_grid(CorrelationSpectrum.from_diagonal(np.ones(3)), 0, [1.0]),
      ValueError, "K must be at least 1, got 0"),
+    (lambda: solve_delta_grid(CorrelationSpectrum.from_diagonal(np.ones(3)), 3, [1.0],
+                              max_iter=0), ValueError, "max_iter must be at least 1, got 0"),
     (lambda: coefficients_grid(CorrelationSpectrum.from_diagonal(np.ones(4)), 5, 2, [1.0]),
      DimensionError, "spectrum dim 4 != M = 5"),
-], ids=["empty", "non-finite", "basis shape", "zero matrix", "K", "M"])
+], ids=["empty", "non-finite", "basis shape", "zero matrix", "K", "max_iter", "M"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
