@@ -4,9 +4,11 @@ Subcommands: estimate, scenario, verify-theorem, dim-sweep, lambda-sensitivity.
 Exit codes: 0 success, 2 configuration/parse error, 3 numeric convergence or
 definiteness failure, 4 I/O error.
 
-Run flags left unset fall back first to the optional ``--config`` JSON file
-(keys mirror RunConfig field names) and then to built-in defaults. A config
-key the subcommand does not read, or a value of the wrong type, exits 2.
+Each RunConfig field a run reads has one entry in ``_RUN_FIELDS``: its flag,
+the ``--config`` JSON type check and the conversion to the field value. A flag
+left unset falls back to the config key of the field's name, then to the
+built-in default. An unread config key, a value of the wrong type, or an SNR
+point whose 10 ** (+-dB/10) is not a positive finite float exits 2.
 """
 
 from __future__ import annotations
@@ -67,47 +69,66 @@ def _parse_dims(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(dims)
 
 
-# Every run flag; an absent flag parses to None so the --config file can fill it.
-_RUN_FLAGS = {
-    "--trials": dict(type=int,
-                     help="Monte-Carlo trials per point (default 1000; 200 for verify-theorem)"),
-    "--seed": dict(type=int, help="master seed (default 0)"),
-    "--lambdas": dict(type=_parse_lambdas,
-                      help="comma-separated penalty grid (default: scenario catalog)"),
-    "--snr-db": dict(type=_parse_snr_range,
-                     help="SNR sweep as a:b:step or comma list (default: scenario catalog)"),
-    "--out": dict(help="output CSV path"),
-    "--parallelism": dict(metavar="N|auto", help="worker processes (default 1)"),
-    "--dump-trials": dict(action="store_true", default=None,
-                          help="also write a per-trial CSV next to --out"),
-    "--config": dict(help="JSON file with defaults for the flags above"),
-}
-
-
 def _numbers(value) -> bool:
     return type(value) is list and all(type(v) in (int, float) for v in value)
 
 
-# --config key (a RunConfig field) -> (the run flag it stands in for, whether a JSON
-# value fits the field); null fits only where the field may be None.
-_CONFIG_KEYS = {
-    "trials": ("trials", lambda v: type(v) is int),
-    "master_seed": ("seed", lambda v: type(v) is int),
-    "lambda_grid": ("lambdas", lambda v: v is None or _numbers(v)),
-    "snr_points_db": ("snr_db", lambda v: v is None or _numbers(v)),
-    "output_path": ("out", lambda v: v is None or type(v) is str),
-    "parallelism": ("parallelism", lambda v: v in (None, "auto") or type(v) is int),
-    "dump_trials": ("dump_trials", lambda v: type(v) is bool),
-    "dims": ("dims", lambda v: v is None or type(v) is list and all(
-        type(p) is list and list(map(type, p)) == [int, int] for p in v)),
+def _floats(values) -> tuple[float, ...] | None:
+    return tuple(float(v) for v in values) if values else None
+
+
+def _as_is(value):
+    return value
+
+
+# RunConfig field -> (its flag, the flag's argparse spec, whether a --config JSON value
+# fits the field, and the conversion of a flag or config value to the field value).
+# An absent flag parses to None, so a config key can fill the field; a field that
+# neither sets keeps its RunConfig default. null fits only where the field may be None.
+_RUN_FIELDS = {
+    "trials": (
+        "--trials", dict(type=int, help="Monte-Carlo trials per point "
+                                        "(default 1000; 200 for verify-theorem)"),
+        lambda v: type(v) is int, _as_is),
+    "master_seed": (
+        "--seed", dict(type=int, metavar="SEED", help="master seed (default 0)"),
+        lambda v: type(v) is int, _as_is),
+    "lambda_grid": (
+        "--lambdas", dict(type=_parse_lambdas, metavar="LAMBDAS",
+                          help="comma-separated penalty grid (default: scenario catalog)"),
+        lambda v: v is None or _numbers(v), _floats),
+    "snr_points_db": (
+        "--snr-db", dict(type=_parse_snr_range, metavar="SNR_DB",
+                         help="SNR sweep as a:b:step or comma list (default: scenario catalog)"),
+        lambda v: v is None or _numbers(v), _floats),
+    "output_path": (
+        "--out", dict(metavar="OUT", help="output CSV path"),
+        lambda v: v is None or type(v) is str, _as_is),
+    # None is auto; a count below 1 is RunConfig's to reject
+    "parallelism": (
+        "--parallelism", dict(metavar="N|auto", help="worker processes (default 1)"),
+        lambda v: v in (None, "auto") or type(v) is int,
+        lambda v: None if v in (None, "auto") else int(v)),
+    "dump_trials": (
+        "--dump-trials", dict(action="store_true", default=None,
+                              help="also write a per-trial CSV next to --out"),
+        lambda v: type(v) is bool, _as_is),
+    "dims": (
+        "--dims", dict(type=_parse_dims,
+                       help="comma-separated MxK pairs (default: catalog g+h dims)"),
+        lambda v: v is None or type(v) is list and all(
+            type(p) is list and list(map(type, p)) == [int, int] for p in v),
+        lambda v: tuple((m, k) for m, k in v) if v else None),
 }
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, *unread: str) -> None:
-    """Register every run flag except the ``unread`` ones, which the subcommand ignores."""
-    for flag, spec in _RUN_FLAGS.items():
-        if flag not in unread:
-            parser.add_argument(flag, **spec)
+    """Register the flag of every RunConfig field but the ``unread`` ones, which the
+    subcommand ignores, then --config. A flag parses into ``args.<field>``."""
+    for name, (flag, spec, _, _) in _RUN_FIELDS.items():
+        if name not in unread:
+            parser.add_argument(flag, dest=name, **spec)
+    parser.add_argument("--config", help="JSON file with defaults for the flags above")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,26 +145,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sc = sub.add_parser("scenario", help="run a catalog scenario sweep")
     p_sc.add_argument("name", choices=SCENARIO_NAMES)
-    _add_run_flags(p_sc)
+    _add_run_flags(p_sc, "dims")
     p_sc.add_argument("--dump", default=None, metavar="DIR",
                       help="write the first trial's model files into DIR")
 
     p_vt = sub.add_parser("verify-theorem", help="Monte-Carlo check of the cost prediction")
-    _add_run_flags(p_vt, "--snr-db", "--parallelism", "--dump-trials")
+    _add_run_flags(p_vt, "snr_points_db", "parallelism", "dump_trials", "dims")
 
     p_ds = sub.add_parser("dim-sweep", help="dimension-robustness sweep")
-    _add_run_flags(p_ds)
-    p_ds.add_argument("--dims", type=_parse_dims, default=None,
-                      help="comma-separated MxK pairs (default: catalog g+h dims)")
+    _add_run_flags(p_ds, "dims")
+    flag, spec, _, _ = _RUN_FIELDS["dims"]
+    p_ds.add_argument(flag, dest="dims", **spec)  # listed after --config in --help
 
     p_ls = sub.add_parser("lambda-sensitivity", help="penalty-grid sensitivity sweep")
-    _add_run_flags(p_ls, "--lambdas")
+    _add_run_flags(p_ls, "lambda_grid", "dims")
     return parser
-
-
-def _coerce_parallelism(value) -> int | None:
-    """None for auto; RunConfig rejects a count below 1."""
-    return None if value is None or value == "auto" else int(value)
 
 
 def _resolve_run_config(args: argparse.Namespace, scenario: str,
@@ -156,30 +172,19 @@ def _resolve_run_config(args: argparse.Namespace, scenario: str,
         if not isinstance(payload, dict):
             raise DataFormatError(f"{args.config}: config must be a JSON object")
     for key, value in payload.items():
-        if key not in _CONFIG_KEYS or not hasattr(args, _CONFIG_KEYS[key][0]):
+        if key not in _RUN_FIELDS or not hasattr(args, key):
             raise DataFormatError(f"{args.config}: {args.command} reads no config key {key!r}")
-        if not _CONFIG_KEYS[key][1](value):
+        if not _RUN_FIELDS[key][2](value):
             raise DataFormatError(f"{args.config}: config key {key!r} has a value of the "
                                   f"wrong type: {value!r}")
 
-    def pick(key, fallback=None):
-        value = getattr(args, _CONFIG_KEYS[key][0], None)
-        return payload.get(key, fallback) if value is None else value
-
-    lambdas = pick("lambda_grid")
-    snr_points = pick("snr_points_db")
-    dims = pick("dims")
-    return harness.RunConfig(
-        scenario=scenario,
-        trials=pick("trials", default_trials),
-        master_seed=pick("master_seed", 0),
-        lambda_grid=tuple(float(v) for v in lambdas) if lambdas else None,
-        snr_points_db=tuple(float(v) for v in snr_points) if snr_points else None,
-        output_path=pick("output_path"),
-        parallelism=_coerce_parallelism(pick("parallelism", 1)),
-        dump_trials=pick("dump_trials", False),
-        dims=tuple((m, k) for m, k in dims) if dims else None,
-    )
+    values = {"trials": default_trials}
+    for name, (_, _, _, convert) in _RUN_FIELDS.items():
+        if getattr(args, name, None) is not None:
+            values[name] = convert(getattr(args, name))
+        elif name in payload:
+            values[name] = convert(payload[name])
+    return harness.RunConfig(scenario=scenario, **values)
 
 
 def _print_estimate(estimate, as_json: bool) -> None:
@@ -213,15 +218,6 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scenario(args) -> int:
-    config = _resolve_run_config(args, args.name)
-    if args.dump:
-        _dump_first_trial(config, args.dump)
-    rows = harness.run_scenario(config)
-    print("\n".join(harness._table(harness.MetricsRow, rows)))
-    return EXIT_OK
-
-
 def _cmd_verify(args) -> int:
     config = _resolve_run_config(args, "fig1", default_trials=200)
     rows = harness.verify_theorem(config)
@@ -230,28 +226,33 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dim_sweep(args) -> int:
-    config = _resolve_run_config(args, "h")
-    if config.dims is None:
+# sweep subcommand -> (harness run, scenario it runs; scenario takes it from its NAME)
+_SWEEPS = {
+    "scenario": (harness.run_scenario, None),
+    "dim-sweep": (harness.dim_sweep, "h"),
+    "lambda-sensitivity": (harness.lambda_sensitivity, "i"),
+}
+
+
+def _cmd_sweep(args) -> int:
+    run, scenario = _SWEEPS[args.command]
+    config = _resolve_run_config(args, getattr(args, "name", scenario))
+    if args.command == "dim-sweep" and config.dims is None:
         dims = scenario_catalog("g").dims_list + scenario_catalog("h").dims_list
         config = dataclasses.replace(config, dims=dims)
-    rows = harness.dim_sweep(config)
-    print("\n".join(harness._table(harness.MetricsRow, rows)))
-    return EXIT_OK
-
-
-def _cmd_lambda_sensitivity(args) -> int:
-    config = _resolve_run_config(args, "i")
-    rows = harness.lambda_sensitivity(config)
+    if getattr(args, "dump", None):
+        _dump_first_trial(config, args.dump)
+    rows = run(config)
     print("\n".join(harness._table(harness.MetricsRow, rows)))
     return EXIT_OK
 
 
 def _attach_dash_values(argv) -> list[str]:
-    """Join each value-taking run flag to a next token that starts with '-' and a digit
-    or '.' ('--snr-db -4:20:2' becomes '--snr-db=-4:20:2'), which argparse would
+    """Join --config or a value-taking run flag to a next token that starts with '-' and
+    a digit or '.' ('--snr-db -4:20:2' becomes '--snr-db=-4:20:2'), which argparse would
     otherwise read as an option unless it is a plain number."""
-    takes_value = {flag for flag, spec in _RUN_FLAGS.items() if "action" not in spec} | {"--dims"}
+    takes_value = {"--config"} | {flag for flag, spec, _, _ in _RUN_FIELDS.values()
+                                  if "action" not in spec}
     joined = []
     for token in argv:
         if joined and joined[-1] in takes_value and re.match(r"-[\d.]", token):
@@ -265,17 +266,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        handler = {
-            "estimate": _cmd_estimate,
-            "scenario": _cmd_scenario,
-            "verify-theorem": _cmd_verify,
-            "dim-sweep": _cmd_dim_sweep,
-            "lambda-sensitivity": _cmd_lambda_sensitivity,
-        }[args.command]
+        handler = {"estimate": _cmd_estimate, "verify-theorem": _cmd_verify}.get(
+            args.command, _cmd_sweep)
         return handler(args)
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ConvergenceError, DefinitenessError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

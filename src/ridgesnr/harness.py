@@ -77,6 +77,17 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     )
 
 
+def _snr_point_fits(snr_db: float) -> bool:
+    """Whether 10 ** (snr_db/10) and 10 ** (-snr_db/10), the factors by which
+    ``ScenarioDefinition.specs_at`` scales the swept variance and the metrics
+    divide by, are both positive finite floats."""
+    try:
+        factors = (10.0 ** (snr_db / 10.0), 10.0 ** (-snr_db / 10.0))
+    except OverflowError:
+        return False
+    return all(0.0 < factor < math.inf for factor in factors)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one harness run.
@@ -84,7 +95,9 @@ class RunConfig:
     ``parallelism`` of None means auto (up to 8 workers); results do not
     depend on it. ``lambda_grid`` / ``snr_points_db`` of None fall back to the
     scenario catalog entry. For verification runs ``trials`` is the number of
-    signal/noise draws.
+    signal/noise draws. An SNR point must scale a swept variance by a positive
+    finite float either way (see :func:`_snr_point_fits`); so +-400 dB runs, and
+    nan, inf and +-1e6 dB are rejected before any trial runs.
     """
 
     scenario: str | ScenarioDefinition = "a"
@@ -105,6 +118,10 @@ class RunConfig:
         for m, k in self.dims or ():
             if m < 0 or k < 0:
                 raise ValueError(f"dims {m}x{k} has a negative dimension")
+        for snr_db in self.snr_points_db or ():
+            if not _snr_point_fits(float(snr_db)):
+                raise ValueError(f"SNR point {snr_db} dB is out of range: 10 ** (dB/10) and "
+                                 f"10 ** (-dB/10) must both be positive and finite")
 
     def resolve_scenario(self) -> ScenarioDefinition:
         if isinstance(self.scenario, ScenarioDefinition):

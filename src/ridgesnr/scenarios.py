@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.special
 
 from .estimator import LinearModel, _snr_fields
 from .exceptions import DimensionError
@@ -145,7 +144,11 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationSpectrum:
     offsets = np.arange(m)
     dist2 = (offsets[:, None] - offsets[None, :]) ** 2
     if spec.kind == "bessel":
-        first_row = scipy.special.j0(math.pi * offsets * offsets)
+        # imported here, as no other model needs scipy.special and loading it
+        # slows every `import ridgesnr`
+        from scipy.special import j0
+
+        first_row = j0(math.pi * offsets * offsets)
         psi = first_row[np.abs(offsets[:, None] - offsets[None, :])]
     else:
         if spec.rho_hat == 0.0:

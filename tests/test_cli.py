@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import warnings
@@ -547,6 +548,53 @@ class TestCliRuns:
         with pytest.raises(SystemExit) as err:
             cli.main(["scenario", "zz", "--trials", "2"])
         assert err.value.code == 2
+
+    # a point whose 10 ** (+-dB/10) is 0, inf or nan: rejected before any trial runs
+    @pytest.mark.parametrize("value", ["1e6", "-1e6", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", ["a", "c"])
+    def test_unrepresentable_snr_point_exits_config_error(self, tmp_path, capsys, name,
+                                                          source, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trials": 2, "snr_points_db": [10, float(value)]}))
+        flags = (["--trials", "2", f"--snr-db=10,{value}"] if source == "flag"
+                 else ["--config", str(cfg)])
+        out = tmp_path / "o.csv"
+        assert cli.main(["scenario", name, *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: SNR point {float(value)} dB is out of range")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["a", "c"])
+    def test_snr_points_of_400_db_still_run(self, tmp_path, capsys, name):
+        out = tmp_path / "o.csv"
+        assert cli.main(["scenario", name, "--trials", "2", "--snr-db=-400,400",
+                         "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[3:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["-400", "proposed"], ["-400", "ml"], ["400", "proposed"], ["400", "ml"]]
+
+
+# RunConfig's flags each subcommand registers; --config and argparse's own -h/--help aside
+_SCENARIO_FLAGS = {"--trials", "--seed", "--lambdas", "--snr-db", "--out", "--parallelism",
+                   "--dump-trials", "--config", "--dump"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("scenario", _SCENARIO_FLAGS),
+    ("verify-theorem", {"--trials", "--seed", "--lambdas", "--out", "--config"}),
+    ("dim-sweep", _SCENARIO_FLAGS - {"--dump"} | {"--dims"}),
+    ("lambda-sensitivity", _SCENARIO_FLAGS - {"--lambdas", "--dump"}),
+    ("estimate", {"--lambdas", "--json"}),
+])
+def test_each_subcommand_registers_exactly_its_flags(command, flags):
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    registered = {option for action in subcommands.choices[command]._actions
+                  for option in action.option_strings}
+    assert registered - {"-h", "--help"} == flags
 
 
 def _exit_code(argv) -> int:

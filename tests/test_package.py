@@ -42,3 +42,16 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_scipy_special_loads_only_for_a_bessel_correlation():
+    # it is the package's only use of scipy.special, which every CLI call would load
+    code = ("import sys, ridgesnr\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "ridgesnr.build_correlation(ridgesnr.CorrelationSpec('bessel', 4))\n"
+            "assert 'scipy.special' in sys.modules\n")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
