@@ -12,6 +12,7 @@ from .estimator import (
     SnrEstimate,
     estimate_snr,
     ml_baseline,
+    nnls_2var,
     ridge_costs,
     ridge_solve,
 )
@@ -32,12 +33,12 @@ from .harness import (
     run_scenario,
     verify_theorem,
 )
-from .numerics import nnls_2var, sym_eig
 from .rmt import (
     CorrelationSpectrum,
     alpha,
     coefficients_grid,
     solve_delta_grid,
+    sym_eig,
 )
 from .scenarios import (
     CorrelationSpec,
@@ -54,14 +55,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EstimatorPlan", "LinearModel", "RidgeSolution", "SnrEstimate",
-    "estimate_snr", "ml_baseline", "ridge_costs", "ridge_solve",
+    "estimate_snr", "ml_baseline", "nnls_2var", "ridge_costs", "ridge_solve",
     "ConvergenceError", "DataFormatError", "DefinitenessError",
     "DimensionError", "RidgeSnrError",
     "MetricsRow", "RunConfig", "derive_rng", "dim_sweep",
     "estimate_from_files", "lambda_sensitivity", "run_scenario",
     "verify_theorem",
-    "nnls_2var", "sym_eig",
     "CorrelationSpectrum", "alpha", "coefficients_grid", "solve_delta_grid",
+    "sym_eig",
     "CorrelationSpec", "DistributionSpec", "GroundTruth",
     "ScenarioDefinition", "build_correlation", "sample_truth",
     "scenario_catalog", "synthesize",

@@ -3,12 +3,12 @@
 The pipeline: solve the ridge problem at each penalty in a small grid, record
 the normalized cost, pair each cost with the deterministic coefficients
 (xi1, xi2) from :mod:`ridgesnr.rmt`, and invert the resulting n x 2 linear
-system for (sigma_x^2, sigma_n^2) under a nonnegativity constraint. The SNR
-estimate is their ratio. :class:`EstimatorPlan` runs it: it holds the
-coefficients of one (Psi, M, K, grid), and its ``costs`` and ``estimate`` take
-one observation each. A classical maximum-likelihood baseline (residual
-noise-variance estimate combined with the known signal variance) is provided
-for comparison.
+system for (sigma_x^2, sigma_n^2) under a nonnegativity constraint, exactly
+(``nnls_2var``). The SNR estimate is their ratio. :class:`EstimatorPlan` runs
+it: it holds the coefficients of one (Psi, M, K, grid), and its ``costs`` and
+``estimate`` take one observation each. A classical maximum-likelihood
+baseline (residual noise-variance estimate combined with the known signal
+variance) is provided for comparison.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .exceptions import DefinitenessError, DimensionError
-from .numerics import nnls_2var
-from .rmt import CorrelationSpectrum, _positive_finite, coefficients_grid
+from .rmt import CorrelationSpectrum, _as_matrix, _positive_finite, coefficients_grid
 
 __all__ = [
     "LinearModel",
@@ -35,6 +34,7 @@ __all__ = [
     "ridge_costs",
     "estimate_snr",
     "ml_baseline",
+    "nnls_2var",
 ]
 
 # Aspect-ratio sanity bounds; the asymptotics assume K/M bounded away from 0 and infinity.
@@ -229,6 +229,52 @@ def _validated_grid(lambdas) -> np.ndarray:
     if np.unique(grid).size != grid.size:
         raise ValueError("penalty values must be distinct")
     return grid
+
+
+def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
+    """Minimize 0.5*||phi - Xi @ sigma||^2 subject to sigma >= 0, for Xi with 2 columns.
+
+    Solved exactly: the optimum of this convex QP zeroes some subset of the
+    variables and solves unconstrained least squares over the rest. A
+    nonnegative unconstrained solution is therefore the optimum and is returned
+    at once; otherwise keeping the feasible one of the other three candidates
+    (x only, n only, zero) with the smallest objective is exhaustive. Rank-deficient
+    subproblems fall back to the minimum-norm solution; the all-zero candidate
+    is always feasible, so the solver never fails. phi is first scaled by the power
+    of two 2^-e that brings max |phi| into [0.5, 1), and sigma and the residual
+    back by 2^e: exact in every flop, and no square of a cost near 1e200 overflows.
+
+    Returns (sigma, residual_norm) with residual_norm = ||phi - Xi @ sigma||_2.
+    """
+    xi = _as_matrix(xi, "Xi")
+    phi = np.asarray(phi, dtype=float)
+    n = xi.shape[0]
+    if xi.shape[1] != 2:
+        raise DimensionError(f"Xi must have exactly 2 columns, got {xi.shape[1]}")
+    if phi.shape != (n,):
+        raise DimensionError(f"phi length {phi.shape} does not match Xi rows {n}")
+    if n < 2:
+        raise DimensionError("need at least 2 rows to fit 2 variables")
+    if not np.isfinite(phi).all():
+        raise DimensionError("phi contains non-finite entries")
+
+    exponent = math.frexp(float(np.abs(phi).max()))[1]
+    phi = np.ldexp(phi, -exponent)
+    sigma, *_ = np.linalg.lstsq(xi, phi, rcond=None)
+    if not np.all(sigma >= 0):
+        best_obj = np.inf
+        for free in ([0], [1], []):
+            candidate = np.zeros(2)
+            if free:
+                sol, *_ = np.linalg.lstsq(xi[:, free], phi, rcond=None)
+                candidate[free] = sol
+            if np.any(candidate < 0):
+                continue
+            obj = 0.5 * np.sum((phi - xi @ candidate) ** 2)
+            if obj < best_obj:
+                best_obj, sigma = obj, candidate
+    residual = float(np.linalg.norm(phi - xi @ sigma))
+    return np.ldexp(sigma, exponent), math.ldexp(residual, exponent)
 
 
 @dataclass(frozen=True, eq=False)

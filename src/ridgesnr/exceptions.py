@@ -14,7 +14,7 @@ class DefinitenessError(RidgeSnrError, ValueError):
 
 
 class ConvergenceError(RidgeSnrError, RuntimeError):
-    """An iterative solver exhausted its iteration budget.
+    """An iterative solver exhausted its iteration budget or stopped short of a root.
 
     Carries the last iterate and its residual for diagnosis.
     """

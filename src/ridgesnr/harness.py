@@ -42,6 +42,7 @@ from .estimator import (EstimatorPlan, LinearModel, SnrEstimate, _check_dims, es
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients_grid
 from .scenarios import (
+    DistributionSpec,
     ScenarioDefinition,
     build_correlation,
     sample_truth,
@@ -209,17 +210,18 @@ def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key):
     return truth, synthesize(spectrum, truth, rng)
 
 
-def _run_trial_block(block, definition: ScenarioDefinition, snr_db: float,
+def _run_trial_block(block, specs: tuple[DistributionSpec, DistributionSpec], snr_db: float,
                      master_seed: int, key_prefix: tuple[int, ...],
                      trial_lo: int, trial_hi: int) -> list[list[SnrEstimate | None]]:
     """Run trials [trial_lo, trial_hi); returns each one's [proposed, ml] SnrEstimate pair.
 
-    ``block`` is (spectrum, m, k, plan). A method that fails leaves None in its
-    entry and the other's estimate intact; a failed draw fails both, and a plan
-    of None (its build failed) fails proposed on every trial.
+    ``block`` is (spectrum, m, k, plan) and ``specs`` the (signal, noise) pair at
+    ``snr_db``. A method that fails leaves None in its entry and the other's
+    estimate intact; a failed draw fails both, and a plan of None (its build
+    failed) fails proposed on every trial.
     """
     spectrum, m, k, plan = block
-    signal, noise = definition.specs_at(snr_db)
+    signal, noise = specs
     trials = range(trial_lo, trial_hi)
     pairs = [[None, None] for _ in trials]
     for trial, pair in zip(trials, pairs):
@@ -267,6 +269,7 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     built once per block, since neither depends on the SNR.
     """
     points = config.snr_points_db or definition.snr_points_db
+    specs = [definition.specs_at(snr_db) for snr_db in points]  # checks every point first
     rows: list[MetricsRow] = []
     records: list[TrialRecord] = []
     trials = config.trials
@@ -285,8 +288,8 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
                 log.warning("estimator plan for %dx%d failed; proposed fails on every trial: %s",
                             m, k, exc)
                 plan = None
-            for point_idx, snr_db in enumerate(points):
-                task = partial(_run_trial_block, (spectrum, m, k, plan), definition, snr_db,
+            for point_idx, (snr_db, point_specs) in enumerate(zip(points, specs)):
+                task = partial(_run_trial_block, (spectrum, m, k, plan), point_specs, snr_db,
                                config.master_seed, (*key_prefix, point_idx))
                 pairs = [pair for part in run(task, los, his) for pair in part]
                 for method, estimates in zip(("proposed", "ml"), zip(*pairs)):

@@ -14,11 +14,12 @@ where the coefficients are spectral functionals of Psi:
     xi1           = tr_psi_t / (1 + t delta),
     xi2           = M/K - t * tr_psi_t / (K (1 + t delta)).
 
-Everything is evaluated in the eigenbasis of Psi, so no M x M resolvent is
-ever materialized. ``solve_delta_grid`` solves a whole penalty grid together,
-one row of a (penalties x eigenvalues) array per penalty: Picard iteration,
-then Newton's method for the penalties Picard cannot finish within
-``PICARD_STEPS`` steps (square systems at small penalties).
+Everything is evaluated in the eigenbasis of Psi (``sym_eig`` of a dense Psi,
+eigenvalues descending), so no M x M resolvent is ever materialized.
+``solve_delta_grid`` solves a whole penalty grid together, one row of a
+(penalties x eigenvalues) array per penalty: Picard iteration, then Newton's
+method for the penalties Picard cannot finish within ``PICARD_STEPS`` steps
+(square systems at small penalties).
 ``coefficients_grid`` returns the rows (xi1, xi2) of Xi.
 """
 
@@ -30,9 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ConvergenceError, DefinitenessError, DimensionError
-from .numerics import sym_eig
 
-__all__ = ["CorrelationSpectrum", "solve_delta_grid", "coefficients_grid", "alpha"]
+__all__ = ["sym_eig", "CorrelationSpectrum", "solve_delta_grid", "coefficients_grid", "alpha"]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -44,6 +44,35 @@ PICARD_STEPS = 100
 # from round-off; below this relative threshold they are floored, beyond it
 # the matrix is treated as genuinely indefinite.
 EIG_FLOOR_REL = 1e-8
+
+
+def _as_matrix(a, name: str = "A") -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be two-dimensional, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise DimensionError(f"{name} contains non-finite entries")
+    return a
+
+
+def sym_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a symmetric matrix, as from ``np.linalg.eigh``
+    but with the eigenvalues descending and the eigenvector columns in their order.
+
+    The input must be square and symmetric to a 1e-12 relative tolerance;
+    asymmetry beyond that raises DimensionError rather than being silently
+    symmetrized.
+    """
+    a = _as_matrix(a)
+    n, m = a.shape
+    if n != m:
+        raise DimensionError(f"matrix must be square, got {n}x{m}")
+    scale = np.max(np.abs(a)) or 1.0
+    if np.max(np.abs(a - a.T)) > 1e-12 * scale:
+        raise DimensionError("matrix is not symmetric within 1e-12 relative tolerance")
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    order = np.argsort(w)[::-1]
+    return w[order], v[:, order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,12 +198,18 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     the rounding of g, which near a tiny slope g' would otherwise make Newton
     cycle about the root. Either way it keeps delta minus that step. g is
     evaluated as d B - (1 - B) / t, B = (K - M + sum_i 1 / (1 + c q_i)) / K, a
-    sum of positive terms near M = K, where d - F(d) cancels.
+    sum of positive terms near M = K, where d - F(d) cancels. Its slope
+    g' = 1 - sum_i (c q_i u_i)^2 / K, u_i = 1 / (1 + c q_i), rounds to 0 once every
+    c q_i exceeds 2^53; a t whose slope is not positive stops without a step.
 
     ``max_iter`` (at least 1) bounds the steps of both phases of each t
     together; ConvergenceError names the first t of the grid that uses it up.
-    Returns arrays (delta, steps taken) over ``ts``, with
-    |delta - F(delta)| <= tol * max(delta, 1).
+    Returns arrays (delta, steps taken) over ``ts`` with, at every t, delta > 0
+    and |F(delta) - delta| <= tol * max(delta, 1); otherwise (a flat slope, or a
+    Newton step that rounding carried past the root) ConvergenceError names the
+    first t that breaks it. The bound is on the residual, not on delta's error:
+    on Psi = diag(logspace(-300, 300, 40)) with K = 20, the returned delta can lie
+    more than 1e-10 relative from the 60-digit root.
     """
     ts = _positive_finite(ts, "t")
     if K < 1:
@@ -210,18 +245,27 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
         u = 1.0 / (1.0 + cq)
         b = (K - q.size + np.sum(u, axis=1)) / K
         gap = delta * b - (1.0 - b) / t
-        step = gap / (1.0 - np.sum((cq * u) ** 2, axis=1) / K)  # c q u < 1: no overflow
+        slope = 1.0 - np.sum((cq * u) ** 2, axis=1) / K  # c q u < 1: no overflow
+        flat = ~(slope > 0)  # c q u rounded to 1 (or c q overflowed): no step; the t stays open
+        rows, delta, gap, slope = (a[~flat] for a in (rows, delta, gap, slope))
+        step = gap / slope
         deltas[rows], steps[rows] = delta - step, steps[rows] + 1
         done = step <= tol * np.maximum(delta, 1.0)  # a step that does not descend is rounding
         newton[rows[done]] = False
         rows = rows[~done & (steps[rows] < max_iter)]
-    if newton.any():
-        row = int(np.argmax(newton))
-        t, last = ts[row], deltas[row]
-        residual = float(abs(_psi_t(q, t, last) / K - last))
-        raise ConvergenceError(f"fixed point did not converge in {max_iter} iterations "
-                               f"(lambda={K / t:g}, t={t:g}, residual={residual:.3e})",
-                               last_iterate=float(last), residual=residual)
+    residuals = np.abs(_psi_t(q, ts, deltas) / K - deltas)
+    budget = newton & (steps >= max_iter)
+    short = newton | ~((0.0 < deltas) & (deltas < np.inf)
+                       & (residuals <= tol * np.maximum(deltas, 1.0)))
+    for off in (budget, short):
+        if off.any():
+            row = int(np.argmax(off))
+            t, last, residual = ts[row], float(deltas[row]), float(residuals[row])
+            why = (f"did not converge in {max_iter} iterations" if off is budget
+                   else f"stopped short of a positive root at delta={last:.6g}")
+            raise ConvergenceError(f"fixed point {why} (lambda={K / t:g}, t={t:g}, "
+                                   f"residual={residual:.3e})", last_iterate=last,
+                                   residual=residual)
     return deltas, steps
 
 

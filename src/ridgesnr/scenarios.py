@@ -185,7 +185,8 @@ class ScenarioDefinition:
     """Complete description of one benchmark experiment.
 
     ``swept`` names which variance is adjusted to hit each target SNR;
-    ``specs_at`` resolves the signal/noise pair for a target point. For the
+    ``specs_at`` resolves the signal/noise pair for a target point, and raises
+    ValueError when the swept variance is not a positive finite float. For the
     fixed-variance verification setup ``swept`` is None and the base specs
     are used as-is.
     """
@@ -206,10 +207,14 @@ class ScenarioDefinition:
         if self.swept is None:
             return self.signal, self.noise
         if self.swept == "signal":
-            sigma_x2 = self.noise.implied_variance * 10.0 ** (snr_db / 10.0)
-            return DistributionSpec.gaussian(sigma_x2), self.noise
-        sigma_n2 = self.signal.implied_variance * 10.0 ** (-snr_db / 10.0)
-        return self.signal, DistributionSpec.gaussian(sigma_n2)
+            variance = self.noise.implied_variance * 10.0 ** (snr_db / 10.0)
+        else:
+            variance = self.signal.implied_variance * 10.0 ** (-snr_db / 10.0)
+        if not 0.0 < variance < math.inf:
+            raise ValueError(f"SNR point {snr_db} dB is out of range: the swept {self.swept} "
+                             f"variance {variance} is not positive and finite")
+        swept = DistributionSpec.gaussian(variance)
+        return (swept, self.noise) if self.swept == "signal" else (self.signal, swept)
 
 
 _BASE_SNR_SWEEP = tuple(float(s) for s in range(-4, 21, 2))

@@ -276,6 +276,24 @@ class TestCliEstimate:
         assert len(reported["fixed_point_iters"]) == len(grid)
         assert max(reported["fixed_point_iters"]) <= 40
 
+    def test_fixed_point_without_a_root_exits_numeric_error(self, tmp_path, capsys):
+        # every c q of Psi = 1e40 I exceeds 2^53, so Newton's slope at M = K rounds to 0
+        rng = np.random.default_rng(22)
+        write_vector(tmp_path / "y.csv", rng.standard_normal(22))
+        write_matrix(tmp_path / "w.csv", rng.standard_normal((22, 22)))
+        (tmp_path / "psi.csv").write_text("diag:" + ",".join(["1e40"] * 22) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([
+                "estimate", str(tmp_path / "y.csv"), str(tmp_path / "w.csv"),
+                str(tmp_path / "psi.csv"), "--lambdas", "1e-3,2e-3,3e-3,4e-3",
+            ])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric error: fixed point stopped short of a positive root")
+        assert len(err.splitlines()) == 1
+
     def test_indefinite_psi_exits_numeric_error(self, tmp_path, capsys):
         write_vector(tmp_path / "y.csv", np.ones(2))
         write_matrix(tmp_path / "w.csv", np.eye(2))
@@ -575,6 +593,22 @@ class TestCliRuns:
         rows = out.read_text().splitlines()[3:]
         assert [row.split(",")[:2] for row in rows] == [
             ["-400", "proposed"], ["-400", "ml"], ["400", "proposed"], ["400", "ml"]]
+
+    # 10 ** 308.2 is finite, but scenario c's noise variance 25/3 * 10 ** 308.2 is not
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_overflowing_swept_variance_exits_config_error(self, tmp_path, capsys, source):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trials": 2, "snr_points_db": [10, -3082]}))
+        flags = (["--trials", "2", "--snr-db=10,-3082"] if source == "flag"
+                 else ["--config", str(cfg)])
+        out = tmp_path / "o.csv"
+        assert cli.main(["scenario", "c", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SNR point -3082")
+        assert "dB is out of range: the swept noise variance inf" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
 
 
 # RunConfig's flags each subcommand registers; --config and argparse's own -h/--help aside

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -317,6 +318,52 @@ class TestWideRangeSpectra:
             for t, delta in zip(ts, deltas.tolist()):
                 assert gap(t, mpmath.mpf(delta * (1 - 1e-10))) < 0 < \
                     gap(t, mpmath.mpf(delta * (1 + 1e-10)))
+
+
+# (kind, parameter): uniform(0, 1)^2 from a seed, logspace(-a, a), or 10^e times I
+CONTRACT_SPECTRA = st.one_of(
+    st.tuples(st.just("uniform2"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("logspace"), st.floats(0.0, 150.0)),
+    st.tuples(st.just("scaled"), st.floats(-150.0, 150.0)),
+)
+
+
+def contract_spectrum(kind: str, parameter: float, m: int) -> np.ndarray:
+    if kind == "uniform2":
+        return np.random.default_rng(parameter).uniform(size=m) ** 2
+    if kind == "logspace":
+        return np.logspace(-parameter, parameter, m)
+    return np.full(m, 10.0 ** parameter)
+
+
+class TestFixedPointContract:
+    """Over diagonal spectra, shapes and grids: a root, or ConvergenceError, and no warning."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spectrum=CONTRACT_SPECTRA, m=st.integers(2, 120), aspect=st.floats(0.25, 2.0),
+           exponents=st.lists(st.floats(-8.0, 3.0), min_size=4, max_size=4))
+    # square, every c q above 2^53: Newton's slope rounds to 0 (a division by zero)
+    @example(spectrum=("scaled", 30.0), m=60, aspect=1.0, exponents=np.log10(DEFAULT_GRID).tolist())
+    @example(spectrum=("scaled", 30.0), m=60, aspect=1.0,
+             exponents=[-4.0, math.log10(1.0000001e-4), -4.0, -4.0])
+    @example(spectrum=("scaled", 40.0), m=22, aspect=1.0, exponents=np.log10(DEFAULT_GRID).tolist())
+    # wide: c q of 1e32 above 2^53 at the root; a delta at lambda = 3e-3 48% off its own
+    # fixed point
+    @example(spectrum=("logspace", 32.0), m=2, aspect=0.5, exponents=[0.0, 0.0, 0.0, 0.0])
+    @example(spectrum=("scaled", 101.0), m=98, aspect=190 / 98,
+             exponents=np.log10(DEFAULT_GRID).tolist())
+    def test_returns_a_root_or_raises(self, spectrum, m, aspect, exponents):
+        q, k = contract_spectrum(*spectrum, m), max(1, round(aspect * m))
+        ts = k / 10.0 ** np.array(exponents)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                deltas, _ = solve_delta_grid(CorrelationSpectrum.from_diagonal(q), k, ts)
+            except ConvergenceError:
+                return
+        for t, delta in zip(ts, deltas.tolist()):
+            assert 0.0 < delta <= float(q.sum()) / k
+            assert abs(fixed_point_map(q, k, t, delta) - delta) <= 1e-12 * max(delta, 1.0)
 
 
 def grid_problem(m: int, shape: str, zeros: float, seed: int) -> tuple[np.ndarray, int]:

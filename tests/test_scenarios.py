@@ -210,6 +210,14 @@ class TestCatalog:
         sig, noi = defn.specs_at(0.0)
         assert noi.implied_variance == pytest.approx(25.0 / 3.0)
 
+    # c sweeps the noise, 25/3 * 10 ** (-dB/10); a sweeps the signal, 0.1 * 10 ** (dB/10)
+    @pytest.mark.parametrize("name, snr_db, variance", [("c", -3082.0, "noise variance inf"),
+                                                        ("a", -3300.0, "signal variance 0.0")])
+    def test_specs_at_rejects_a_swept_variance_out_of_range(self, name, snr_db, variance):
+        with pytest.raises(ValueError, match=f"SNR point {snr_db} dB is out of range: "
+                                             f"the swept {variance} is not"):
+            scenario_catalog(name).specs_at(snr_db)
+
     def test_scenario_d(self):
         defn = scenario_catalog("d")
         assert defn.signal.kind == "student_t"
