@@ -8,7 +8,7 @@ Each RunConfig field a run reads has one entry in ``_RUN_FIELDS``: its flag,
 the ``--config`` JSON type check and the conversion to the field value. A flag
 left unset falls back to the config key of the field's name, then to the
 built-in default. An unread config key, a value of the wrong type, or an SNR
-point whose 10 ** (+-dB/10) is not a positive finite float exits 2.
+point that ``ScenarioDefinition.specs_at`` rejects exits 2.
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ and the diag-uniform correlation draw uses the bare master seed. Results are
 therefore identical for any trial schedule, and the CSV emitted by a run is
 byte-identical across parallelism settings.
 
-Each sweep point maps its trial ranges in order: a serial run maps one range
-of every trial with the builtin ``map``, and a pooled one (``parallelism`` > 1,
-at least two trials per worker) maps about four ranges per worker on the pool.
-A trial keeps the :class:`SnrEstimate` each method returned, or None where the
-method failed; the metrics rows and the trial dump both read those estimates.
+Each sweep point maps its trials in order, one call per trial: serially through
+the builtin ``map``, or (``parallelism`` > 1, at least two trials per worker)
+through ``Executor.map`` in about four chunks per worker. A trial keeps the
+:class:`SnrEstimate` each method returned, or None where the method failed; the
+metrics rows and the trial dump both read those estimates.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .estimator import (EstimatorPlan, LinearModel, SnrEstimate, _check_dims, es
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients_grid
 from .scenarios import (
-    DistributionSpec,
     ScenarioDefinition,
     build_correlation,
     sample_truth,
@@ -78,17 +77,6 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def _snr_point_fits(snr_db: float) -> bool:
-    """Whether 10 ** (snr_db/10) and 10 ** (-snr_db/10), the factors by which
-    ``ScenarioDefinition.specs_at`` scales the swept variance and the metrics
-    divide by, are both positive finite floats."""
-    try:
-        factors = (10.0 ** (snr_db / 10.0), 10.0 ** (-snr_db / 10.0))
-    except OverflowError:
-        return False
-    return all(0.0 < factor < math.inf for factor in factors)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one harness run.
@@ -96,9 +84,9 @@ class RunConfig:
     ``parallelism`` of None means auto (up to 8 workers); results do not
     depend on it. ``lambda_grid`` / ``snr_points_db`` of None fall back to the
     scenario catalog entry. For verification runs ``trials`` is the number of
-    signal/noise draws. An SNR point must scale a swept variance by a positive
-    finite float either way (see :func:`_snr_point_fits`); so +-400 dB runs, and
-    nan, inf and +-1e6 dB are rejected before any trial runs.
+    signal/noise draws. A run checks its SNR points with
+    ``ScenarioDefinition.specs_at`` before its first trial, and rejects a set
+    field it does not read.
     """
 
     scenario: str | ScenarioDefinition = "a"
@@ -119,10 +107,6 @@ class RunConfig:
         for m, k in self.dims or ():
             if m < 0 or k < 0:
                 raise ValueError(f"dims {m}x{k} has a negative dimension")
-        for snr_db in self.snr_points_db or ():
-            if not _snr_point_fits(float(snr_db)):
-                raise ValueError(f"SNR point {snr_db} dB is out of range: 10 ** (dB/10) and "
-                                 f"10 ** (-dB/10) must both be positive and finite")
 
     def resolve_scenario(self) -> ScenarioDefinition:
         if isinstance(self.scenario, ScenarioDefinition):
@@ -210,37 +194,32 @@ def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key):
     return truth, synthesize(spectrum, truth, rng)
 
 
-def _run_trial_block(block, specs: tuple[DistributionSpec, DistributionSpec], snr_db: float,
-                     master_seed: int, key_prefix: tuple[int, ...],
-                     trial_lo: int, trial_hi: int) -> list[list[SnrEstimate | None]]:
-    """Run trials [trial_lo, trial_hi); returns each one's [proposed, ml] SnrEstimate pair.
+def _run_trial(block, specs, snr_db: float, master_seed: int, key_prefix: tuple[int, ...],
+               trial: int) -> list[SnrEstimate | None]:
+    """Run one trial; returns its [proposed, ml] SnrEstimate pair.
 
     ``block`` is (spectrum, m, k, plan) and ``specs`` the (signal, noise) pair at
     ``snr_db``. A method that fails leaves None in its entry and the other's
     estimate intact; a failed draw fails both, and a plan of None (its build
-    failed) fails proposed on every trial.
+    failed) fails proposed.
     """
     spectrum, m, k, plan = block
-    signal, noise = specs
-    trials = range(trial_lo, trial_hi)
-    pairs = [[None, None] for _ in trials]
-    for trial, pair in zip(trials, pairs):
-        try:
-            truth, model = _draw_trial(spectrum, signal, noise, m, k,
-                                       master_seed, (*key_prefix, trial))
-        except RidgeSnrError as exc:
-            log.warning("trial %d at %.1f dB failed: %s", trial, snr_db, exc)
+    pair = [None, None]
+    try:
+        truth, model = _draw_trial(spectrum, *specs, m, k, master_seed, (*key_prefix, trial))
+    except RidgeSnrError as exc:
+        log.warning("trial %d at %.1f dB failed: %s", trial, snr_db, exc)
+        return pair
+    for col, method, args in ((0, plan.estimate if plan else None, (model,)),
+                              (1, ml_baseline, (model, truth.sigma_x2))):
+        if method is None:
             continue
-        for col, method, args in ((0, plan.estimate if plan else None, (model,)),
-                                  (1, ml_baseline, (model, truth.sigma_x2))):
-            if method is None:
-                continue
-            try:
-                pair[col] = method(*args)
-            except RidgeSnrError as exc:
-                log.warning("trial %d at %.1f dB failed in %s: %s",
-                            trial, snr_db, method.__name__, exc)
-    return pairs
+        try:
+            pair[col] = method(*args)
+        except RidgeSnrError as exc:
+            log.warning("trial %d at %.1f dB failed in %s: %s",
+                        trial, snr_db, method.__name__, exc)
+    return pair
 
 
 def _correlation_for(definition: ScenarioDefinition, m: int, seed: int) -> CorrelationSpectrum:
@@ -275,11 +254,8 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     trials = config.trials
     workers = config.parallelism or min(8, os.cpu_count() or 1)
     pooled = workers > 1 and trials >= 2 * workers
-    size = math.ceil(trials / (4 * workers)) if pooled else trials
-    los = range(0, trials, size)
-    his = [min(trials, lo + size) for lo in los]
     with ProcessPoolExecutor(workers) if pooled else nullcontext() as pool:
-        run = pool.map if pooled else map
+        run = partial(pool.map, chunksize=math.ceil(trials / (4 * workers))) if pooled else map
         for m, k, grid, label, key_prefix in blocks:
             spectrum = _correlation_for(definition, m, config.master_seed)
             try:
@@ -289,9 +265,9 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
                             m, k, exc)
                 plan = None
             for point_idx, (snr_db, point_specs) in enumerate(zip(points, specs)):
-                task = partial(_run_trial_block, (spectrum, m, k, plan), point_specs, snr_db,
+                task = partial(_run_trial, (spectrum, m, k, plan), point_specs, snr_db,
                                config.master_seed, (*key_prefix, point_idx))
-                pairs = [pair for part in run(task, los, his) for pair in part]
+                pairs = list(run(task, range(trials)))
                 for method, estimates in zip(("proposed", "ml"), zip(*pairs)):
                     rows.append(_aggregate(snr_db, method, m, k, estimates, label))
                 if config.dump_trials:
@@ -300,11 +276,11 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     return rows
 
 
-def _own_dims(config: RunConfig, definition: ScenarioDefinition) -> tuple[int, int]:
-    """The scenario's (M, K). A set ``config.dims`` is rejected: only dim_sweep runs it."""
-    if config.dims is not None:
-        raise ValueError("only dim_sweep runs config.dims; dims must be unset")
-    return definition.dims
+def _reject_unread(config: RunConfig, run: str, *unread: str) -> None:
+    """Reject the first of the ``unread`` fields that ``config`` sets: ``run`` ignores it."""
+    for name in unread:
+        if getattr(config, name) not in (None, False):
+            raise ValueError(f"{run} does not read config.{name}; {name} must be unset")
 
 
 def run_scenario(config: RunConfig) -> list[MetricsRow]:
@@ -313,21 +289,22 @@ def run_scenario(config: RunConfig) -> list[MetricsRow]:
     Each trial draws fresh (x0, n, Wbar) from its own stream; the correlation
     matrix is built once per run. Writes CSV when output_path is set.
     """
+    _reject_unread(config, "run_scenario", "dims")
     definition = config.resolve_scenario()
-    m, k = _own_dims(config, definition)
+    m, k = definition.dims
     grid = config.lambda_grid or definition.lambda_grid
     return _sweep(config, definition, [(m, k, grid, "", (STREAM_TRIALS,))])
 
 
 def _first_trial(config: RunConfig) -> tuple[LinearModel, tuple[float, ...]]:
     """The model of trial 0 at the first point of run_scenario(config), and its grid."""
+    _reject_unread(config, "run_scenario", "dims")
     definition = config.resolve_scenario()
-    m, k = _own_dims(config, definition)
-    points = config.snr_points_db or definition.snr_points_db
-    signal, noise = definition.specs_at(points[0])
+    m, k = definition.dims
+    specs = [definition.specs_at(snr_db)  # checks every point
+             for snr_db in config.snr_points_db or definition.snr_points_db]
     spectrum = _correlation_for(definition, m, config.master_seed)
-    _, model = _draw_trial(spectrum, signal, noise, m, k, config.master_seed,
-                           (STREAM_TRIALS, 0, 0))
+    _, model = _draw_trial(spectrum, *specs[0], m, k, config.master_seed, (STREAM_TRIALS, 0, 0))
     return model, config.lambda_grid or definition.lambda_grid
 
 
@@ -346,12 +323,11 @@ def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
     A set ``lambda_grid`` is rejected: the run would not use it. So is a
     scenario without ``lambda_grids`` (catalog entry ``i`` has three).
     """
-    if config.lambda_grid is not None:
-        raise ValueError("lambda_sensitivity runs the catalog grids; lambda_grid must be unset")
+    _reject_unread(config, "lambda_sensitivity", "lambda_grid", "dims")
     definition = config.resolve_scenario()
     if not definition.lambda_grids:
         raise ValueError(f"scenario {definition.name!r} has no lambda_grids to compare")
-    m, k = _own_dims(config, definition)
+    m, k = definition.dims
     return _sweep(config, definition, [(m, k, grid, _grid_label(grid), (STREAM_SENSITIVITY, i))
                                        for i, grid in enumerate(definition.lambda_grids)])
 
@@ -364,14 +340,11 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
     a thin SVD); ``config.trials`` (x0, n) pairs are drawn and their realized
     costs are averaged per penalty. Returns rows of (lambda, mc_mean_phi,
     predicted, rel_error). A set ``snr_points_db`` is rejected, as the variances are the
-    scenario's own, and so is ``dump_trials``.
+    scenario's own, and so are ``dump_trials`` and ``dims``.
     """
-    if config.snr_points_db is not None:
-        raise ValueError("verify_theorem uses the scenario's variances; snr_points_db must be unset")
-    if config.dump_trials:
-        raise ValueError("verify_theorem writes no per-trial CSV; dump_trials must be unset")
+    _reject_unread(config, "verify_theorem", "snr_points_db", "dump_trials", "dims")
     definition = config.resolve_scenario()
-    m, k = _own_dims(config, definition)
+    m, k = definition.dims
     grid = config.lambda_grid or definition.lambda_grid
     spectrum = _correlation_for(definition, m, config.master_seed)
     signal, noise = definition.specs_at(definition.snr_points_db[0])

@@ -239,21 +239,22 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
             rows, t, nxt, step = (a[~leave] for a in (rows, t, nxt, step))
         delta, last = nxt, step
     rows = np.flatnonzero(newton & (steps < max_iter))
-    while rows.size:
-        t, delta = ts[rows], deltas[rows]
-        cq = np.multiply.outer(t / (1.0 + t * delta), q)
-        u = 1.0 / (1.0 + cq)
-        b = (K - q.size + np.sum(u, axis=1)) / K
-        gap = delta * b - (1.0 - b) / t
-        slope = 1.0 - np.sum((cq * u) ** 2, axis=1) / K  # c q u < 1: no overflow
-        flat = ~(slope > 0)  # c q u rounded to 1 (or c q overflowed): no step; the t stays open
-        rows, delta, gap, slope = (a[~flat] for a in (rows, delta, gap, slope))
-        step = gap / slope
-        deltas[rows], steps[rows] = delta - step, steps[rows] + 1
-        done = step <= tol * np.maximum(delta, 1.0)  # a step that does not descend is rounding
-        newton[rows[done]] = False
-        rows = rows[~done & (steps[rows] < max_iter)]
-    residuals = np.abs(_psi_t(q, ts, deltas) / K - deltas)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed c q reads as flat
+        while rows.size:
+            t, delta = ts[rows], deltas[rows]
+            cq = np.multiply.outer(t / (1.0 + t * delta), q)
+            u = 1.0 / (1.0 + cq)
+            b = (K - q.size + np.sum(u, axis=1)) / K
+            gap = delta * b - (1.0 - b) / t
+            slope = 1.0 - np.sum((cq * u) ** 2, axis=1) / K  # c q u < 1: no overflow
+            flat = ~(slope > 0)  # c q u rounded to 1 (or c q overflowed): no step; the t stays open
+            rows, delta, gap, slope = (a[~flat] for a in (rows, delta, gap, slope))
+            step = gap / slope
+            deltas[rows], steps[rows] = delta - step, steps[rows] + 1
+            done = step <= tol * np.maximum(delta, 1.0)  # a step that does not descend is rounding
+            newton[rows[done]] = False
+            rows = rows[~done & (steps[rows] < max_iter)]
+        residuals = np.abs(_psi_t(q, ts, deltas) / K - deltas)
     budget = newton & (steps >= max_iter)
     short = newton | ~((0.0 < deltas) & (deltas < np.inf)
                        & (residuals <= tol * np.maximum(deltas, 1.0)))

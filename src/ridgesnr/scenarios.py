@@ -185,8 +185,7 @@ class ScenarioDefinition:
     """Complete description of one benchmark experiment.
 
     ``swept`` names which variance is adjusted to hit each target SNR;
-    ``specs_at`` resolves the signal/noise pair for a target point, and raises
-    ValueError when the swept variance is not a positive finite float. For the
+    ``specs_at`` resolves the signal/noise pair for a target point. For the
     fixed-variance verification setup ``swept`` is None and the base specs
     are used as-is.
     """
@@ -204,17 +203,29 @@ class ScenarioDefinition:
     lambda_grids: tuple[tuple[float, ...], ...] = field(default=())
 
     def specs_at(self, snr_db: float) -> tuple[DistributionSpec, DistributionSpec]:
+        """The (signal, noise) pair at ``snr_db``. ValueError if the swept variance, or else
+        10 ** (+-dB/10), is not a positive finite float (an overflow reads as inf)."""
+        up, down = _power_of_ten(snr_db / 10.0), _power_of_ten(-snr_db / 10.0)
+        if self.swept is not None:
+            variance = (self.noise.implied_variance * up if self.swept == "signal"
+                        else self.signal.implied_variance * down)
+            if not 0.0 < variance < math.inf:
+                raise ValueError(f"SNR point {snr_db} dB is out of range: the swept {self.swept} "
+                                 f"variance {variance} is not positive and finite")
+        if not (0.0 < up < math.inf and 0.0 < down < math.inf):
+            raise ValueError(f"SNR point {snr_db} dB is out of range: 10 ** (dB/10) and "
+                             f"10 ** (-dB/10) must both be positive and finite")
         if self.swept is None:
             return self.signal, self.noise
-        if self.swept == "signal":
-            variance = self.noise.implied_variance * 10.0 ** (snr_db / 10.0)
-        else:
-            variance = self.signal.implied_variance * 10.0 ** (-snr_db / 10.0)
-        if not 0.0 < variance < math.inf:
-            raise ValueError(f"SNR point {snr_db} dB is out of range: the swept {self.swept} "
-                             f"variance {variance} is not positive and finite")
         swept = DistributionSpec.gaussian(variance)
         return (swept, self.noise) if self.swept == "signal" else (self.signal, swept)
+
+
+def _power_of_ten(exponent: float) -> float:
+    try:
+        return 10.0 ** float(exponent)  # a numpy float would warn and return inf
+    except OverflowError:
+        return math.inf
 
 
 _BASE_SNR_SWEEP = tuple(float(s) for s in range(-4, 21, 2))

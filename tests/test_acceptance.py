@@ -25,8 +25,7 @@ from ridgesnr import (
     solve_delta_grid,
     verify_theorem,
 )
-from test_estimator import ratio_bias_terms
-from test_numerics import nnls_grid_oracle, objective
+from test_estimator import nnls_grid_oracle, objective, ratio_bias_terms
 
 SEED = 0
 TRIALS = 500

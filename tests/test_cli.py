@@ -585,6 +585,18 @@ class TestCliRuns:
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    # the dump is of the first point, but every point is checked before it is written
+    def test_unrepresentable_later_snr_point_writes_no_dump(self, tmp_path, capsys):
+        dump = tmp_path / "dump"
+        dump.mkdir()
+        assert cli.main(["scenario", "a", "--trials", "2", "--snr-db=10,nan",
+                         "--dump", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SNR point nan dB is out of range")
+        assert len(captured.err.splitlines()) == 1
+        assert not list(dump.iterdir())
+
     @pytest.mark.parametrize("name", ["a", "c"])
     def test_snr_points_of_400_db_still_run(self, tmp_path, capsys, name):
         out = tmp_path / "o.csv"

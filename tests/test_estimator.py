@@ -78,6 +78,39 @@ def ratio_bias_terms(sigma_x2_hat, sigma_n2_hat, sigma_x2: float, sigma_n2: floa
     return x_bar / sigma_x2 - 1.0, n_bar / sigma_n2 - 1.0, jensen
 
 
+def nnls_grid_oracle(xi: np.ndarray, phi: np.ndarray) -> float:
+    """Two-stage brute-force grid search over the nonnegative quadrant.
+
+    Coarse pass over [0, hi]^2, then a refined pass around the coarse argmin;
+    returns the best objective found.
+    """
+    h = xi.T @ xi
+    g = xi.T @ phi
+    const = 0.5 * float(phi @ phi)
+
+    def best_on(axis0, axis1):
+        s0, s1 = np.meshgrid(axis0, axis1, indexing="ij")
+        obj = (0.5 * (h[0, 0] * s0 ** 2 + 2 * h[0, 1] * s0 * s1 + h[1, 1] * s1 ** 2)
+               - g[0] * s0 - g[1] * s1 + const)
+        flat = np.argmin(obj)
+        i, j = np.unravel_index(flat, obj.shape)
+        return float(obj[i, j]), float(axis0[i]), float(axis1[j])
+
+    unconstrained, *_ = np.linalg.lstsq(xi, phi, rcond=None)
+    hi = 2.0 * max(float(np.linalg.norm(unconstrained)), 1.0)
+    coarse = np.linspace(0.0, hi, 201)
+    obj, c0, c1 = best_on(coarse, coarse)
+    step = coarse[1] - coarse[0]
+    fine0 = np.linspace(max(0.0, c0 - step), c0 + step, 201)
+    fine1 = np.linspace(max(0.0, c1 - step), c1 + step, 201)
+    obj_fine, *_ = best_on(fine0, fine1)
+    return min(obj, obj_fine)
+
+
+def objective(xi, phi, sigma):
+    return 0.5 * float(np.sum((phi - xi @ sigma) ** 2))
+
+
 class TestRidgeSolve:
     def test_identity_design_scalar_shrinkage(self):
         y = np.array([1.0, -2.0, 0.5, 4.0])

@@ -462,6 +462,29 @@ class TestLambdaSensitivity:
         assert not out.exists()
 
 
+class TestSnrPointRule:
+    """Every sweep checks each SNR point with ScenarioDefinition.specs_at first."""
+
+    # scenario a with the sensitivity grids, so that every runner sweeps the same world
+    DEFINITION = replace(scenario_catalog("a"), lambda_grids=scenario_catalog("i").lambda_grids)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, 1e6, -3300.0])
+    @pytest.mark.parametrize("runner", [run_scenario, dim_sweep, lambda_sensitivity],
+                             ids=lambda runner: runner.__name__)
+    def test_rejects_an_unrepresentable_point_before_any_trial(self, monkeypatch, tmp_path,
+                                                               runner, snr_db):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("ridgesnr.harness._draw_trial", no_trial)
+        out = tmp_path / "run.csv"
+        config = RunConfig(scenario=self.DEFINITION, trials=2, snr_points_db=(10.0, snr_db),
+                           output_path=str(out))
+        with pytest.raises(ValueError, match=re.escape(f"SNR point {snr_db} dB is out of range")):
+            runner(config)
+        assert not out.exists()
+
+
 class TestEstimateFromFiles:
     """Square requests read from CSV files agree with an independent reference."""
 

@@ -6,39 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridgesnr import DimensionError, nnls_2var, sym_eig
-
-
-def nnls_grid_oracle(xi: np.ndarray, phi: np.ndarray) -> float:
-    """Two-stage brute-force grid search over the nonnegative quadrant.
-
-    Coarse pass over [0, hi]^2, then a refined pass around the coarse argmin;
-    returns the best objective found.
-    """
-    h = xi.T @ xi
-    g = xi.T @ phi
-    const = 0.5 * float(phi @ phi)
-
-    def best_on(axis0, axis1):
-        s0, s1 = np.meshgrid(axis0, axis1, indexing="ij")
-        obj = (0.5 * (h[0, 0] * s0 ** 2 + 2 * h[0, 1] * s0 * s1 + h[1, 1] * s1 ** 2)
-               - g[0] * s0 - g[1] * s1 + const)
-        flat = np.argmin(obj)
-        i, j = np.unravel_index(flat, obj.shape)
-        return float(obj[i, j]), float(axis0[i]), float(axis1[j])
-
-    unconstrained, *_ = np.linalg.lstsq(xi, phi, rcond=None)
-    hi = 2.0 * max(float(np.linalg.norm(unconstrained)), 1.0)
-    coarse = np.linspace(0.0, hi, 201)
-    obj, c0, c1 = best_on(coarse, coarse)
-    step = coarse[1] - coarse[0]
-    fine0 = np.linspace(max(0.0, c0 - step), c0 + step, 201)
-    fine1 = np.linspace(max(0.0, c1 - step), c1 + step, 201)
-    obj_fine, *_ = best_on(fine0, fine1)
-    return min(obj, obj_fine)
-
-
-def objective(xi, phi, sigma):
-    return 0.5 * float(np.sum((phi - xi @ sigma) ** 2))
+from test_estimator import nnls_grid_oracle, objective
 
 
 class TestSymEig:

@@ -365,6 +365,16 @@ class TestFixedPointContract:
             assert 0.0 < delta <= float(q.sum()) / k
             assert abs(fixed_point_map(q, k, t, delta) - delta) <= 1e-12 * max(delta, 1.0)
 
+    # one eigenvalue of 1e298 beside 119 of 1e-175, lambda = 1e-8: Newton's c q passes
+    # 1.8e308, a case the spectrum families above do not reach
+    @pytest.mark.parametrize("k", [180, 240])
+    def test_an_overflowing_newton_product_raises_without_a_warning(self, k):
+        q = np.array([1e298] + [1e-175] * 119)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="stopped short of a positive root"):
+                solve_delta_grid(CorrelationSpectrum.from_diagonal(q), k, [k / 1e-8])
+
 
 def grid_problem(m: int, shape: str, zeros: float, seed: int) -> tuple[np.ndarray, int]:
     """Eigenvalues and K for a square, identity, tall or wide system; ``zeros`` is
