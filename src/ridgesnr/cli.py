@@ -4,17 +4,17 @@ Subcommands: estimate, scenario, verify-theorem, dim-sweep, lambda-sensitivity.
 Exit codes: 0 success, 2 configuration/parse error, 3 numeric convergence or
 definiteness failure, 4 I/O error.
 
-Each RunConfig field a run reads has one entry in ``_RUN_FIELDS``: its flag,
-the ``--config`` JSON type check and the conversion to the field value. A flag
-left unset falls back to the config key of the field's name, then to the
-built-in default. An unread config key, a value of the wrong type, or an SNR
-point that ``ScenarioDefinition.specs_at`` rejects exits 2.
+Each RunConfig field has one entry in ``_RUN_FIELDS`` (its flag, the ``--config``
+JSON type check and the conversion to the field value), and each run subcommand
+one in ``_RUNS``. A run subcommand reads every field but those ``harness.UNREAD``
+lists for its run. A flag left unset falls back to the config key of the field's
+name, then to the subcommand's own default, then to RunConfig's. An unread config
+key, a value of the wrong type, or an SNR point that ``specs_at`` rejects exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -122,13 +122,36 @@ _RUN_FIELDS = {
 }
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, *unread: str) -> None:
-    """Register the flag of every RunConfig field but the ``unread`` ones, which the
-    subcommand ignores, then --config. A flag parses into ``args.<field>``."""
+def _add_run_flags(parser: argparse.ArgumentParser, run: str) -> None:
+    """Register the flag of every RunConfig field the harness ``run`` reads (all but
+    ``harness.UNREAD[run]``), then --config. A flag parses into ``args.<field>``."""
     for name, (flag, spec, _, _) in _RUN_FIELDS.items():
-        if name not in unread:
+        if name not in harness.UNREAD[run]:
             parser.add_argument(flag, dest=name, **spec)
     parser.add_argument("--config", help="JSON file with defaults for the flags above")
+
+
+def _print_metrics(rows) -> None:
+    print("\n".join(harness._table(harness.MetricsRow, rows)))
+
+
+def _print_theorem(rows) -> None:
+    print("\n".join(harness._theorem_table(rows)))
+    print(f"# max relative error: {max(r[3] for r in rows):.6f}")
+
+
+# run subcommand -> (harness run, scenario it runs (None: the one its NAME names), the
+# RunConfig values it defaults differently, its help, the printer of the run's rows)
+_RUNS = {
+    "scenario": (harness.run_scenario, None, {}, "run a catalog scenario sweep", _print_metrics),
+    "verify-theorem": (harness.verify_theorem, "fig1", {"trials": 200},
+                       "Monte-Carlo check of the cost prediction", _print_theorem),
+    "dim-sweep": (harness.dim_sweep, "h",
+                  {"dims": scenario_catalog("g").dims_list + scenario_catalog("h").dims_list},
+                  "dimension-robustness sweep", _print_metrics),
+    "lambda-sensitivity": (harness.lambda_sensitivity, "i", {},
+                           "penalty-grid sensitivity sweep", _print_metrics),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,28 +166,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--lambdas", type=_parse_lambdas, required=True)
     p_est.add_argument("--json", action="store_true", help="machine-readable output only")
 
-    p_sc = sub.add_parser("scenario", help="run a catalog scenario sweep")
-    p_sc.add_argument("name", choices=SCENARIO_NAMES)
-    _add_run_flags(p_sc, "dims")
-    p_sc.add_argument("--dump", default=None, metavar="DIR",
-                      help="write the first trial's model files into DIR")
-
-    p_vt = sub.add_parser("verify-theorem", help="Monte-Carlo check of the cost prediction")
-    _add_run_flags(p_vt, "snr_points_db", "parallelism", "dump_trials", "dims")
-
-    p_ds = sub.add_parser("dim-sweep", help="dimension-robustness sweep")
-    _add_run_flags(p_ds, "dims")
-    flag, spec, _, _ = _RUN_FIELDS["dims"]
-    p_ds.add_argument(flag, dest="dims", **spec)  # listed after --config in --help
-
-    p_ls = sub.add_parser("lambda-sensitivity", help="penalty-grid sensitivity sweep")
-    _add_run_flags(p_ls, "lambda_grid", "dims")
+    for command, (run, scenario, _, text, _) in _RUNS.items():
+        p_run = sub.add_parser(command, help=text)
+        _add_run_flags(p_run, run.__name__)
+        if scenario is None:  # `scenario` names its catalog entry and may dump a trial
+            p_run.add_argument("name", choices=SCENARIO_NAMES)
+            p_run.add_argument("--dump", default=None, metavar="DIR",
+                               help="write the first trial's model files into DIR")
     return parser
 
 
-def _resolve_run_config(args: argparse.Namespace, scenario: str,
-                        default_trials: int = 1000) -> harness.RunConfig:
-    """Merge CLI flags, the optional JSON config, and built-in defaults."""
+def _resolve_run_config(args: argparse.Namespace) -> harness.RunConfig:
+    """Merge CLI flags, the optional JSON config, the subcommand's defaults and RunConfig's."""
+    _, scenario, defaults, _, _ = _RUNS[args.command]
     payload = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
@@ -178,13 +192,15 @@ def _resolve_run_config(args: argparse.Namespace, scenario: str,
             raise DataFormatError(f"{args.config}: config key {key!r} has a value of the "
                                   f"wrong type: {value!r}")
 
-    values = {"trials": default_trials}
+    values = {}
     for name, (_, _, _, convert) in _RUN_FIELDS.items():
         if getattr(args, name, None) is not None:
             values[name] = convert(getattr(args, name))
         elif name in payload:
             values[name] = convert(payload[name])
-    return harness.RunConfig(scenario=scenario, **values)
+        if values.get(name) is None and name in defaults:  # unset, or null in the config
+            values[name] = defaults[name]
+    return harness.RunConfig(scenario=scenario or args.name, **values)
 
 
 def _print_estimate(estimate, as_json: bool) -> None:
@@ -218,32 +234,12 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    config = _resolve_run_config(args, "fig1", default_trials=200)
-    rows = harness.verify_theorem(config)
-    print("\n".join(harness._theorem_table(rows)))
-    print(f"# max relative error: {max(r[3] for r in rows):.6f}")
-    return EXIT_OK
-
-
-# sweep subcommand -> (harness run, scenario it runs; scenario takes it from its NAME)
-_SWEEPS = {
-    "scenario": (harness.run_scenario, None),
-    "dim-sweep": (harness.dim_sweep, "h"),
-    "lambda-sensitivity": (harness.lambda_sensitivity, "i"),
-}
-
-
-def _cmd_sweep(args) -> int:
-    run, scenario = _SWEEPS[args.command]
-    config = _resolve_run_config(args, getattr(args, "name", scenario))
-    if args.command == "dim-sweep" and config.dims is None:
-        dims = scenario_catalog("g").dims_list + scenario_catalog("h").dims_list
-        config = dataclasses.replace(config, dims=dims)
+def _cmd_run(args) -> int:
+    run, _, _, _, print_rows = _RUNS[args.command]
+    config = _resolve_run_config(args)
     if getattr(args, "dump", None):
         _dump_first_trial(config, args.dump)
-    rows = run(config)
-    print("\n".join(harness._table(harness.MetricsRow, rows)))
+    print_rows(run(config))
     return EXIT_OK
 
 
@@ -266,9 +262,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        handler = {"estimate": _cmd_estimate, "verify-theorem": _cmd_verify}.get(
-            args.command, _cmd_sweep)
-        return handler(args)
+        return (_cmd_estimate if args.command == "estimate" else _cmd_run)(args)
     except (ConvergenceError, DefinitenessError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

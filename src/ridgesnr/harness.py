@@ -85,8 +85,8 @@ class RunConfig:
     depend on it. ``lambda_grid`` / ``snr_points_db`` of None fall back to the
     scenario catalog entry. For verification runs ``trials`` is the number of
     signal/noise draws. A run checks its SNR points with
-    ``ScenarioDefinition.specs_at`` before its first trial, and rejects a set
-    field it does not read.
+    ``ScenarioDefinition.specs_at`` before its first trial, and rejects a field it
+    does not read (its ``UNREAD`` entry) that is set away from its default.
     """
 
     scenario: str | ScenarioDefinition = "a"
@@ -276,11 +276,17 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     return rows
 
 
-def _reject_unread(config: RunConfig, run: str, *unread: str) -> None:
-    """Reject the first of the ``unread`` fields that ``config`` sets: ``run`` ignores it."""
-    for name in unread:
-        if getattr(config, name) not in (None, False):
-            raise ValueError(f"{run} does not read config.{name}; {name} must be unset")
+# run -> the RunConfig fields it does not read. The run rejects each one set away from
+# its default, and the CLI registers neither its flag nor its config key.
+UNREAD = {"run_scenario": ("dims",), "dim_sweep": (), "lambda_sensitivity": ("lambda_grid", "dims"),
+          "verify_theorem": ("snr_points_db", "parallelism", "dump_trials", "dims")}
+
+
+def _reject_unread(config: RunConfig, run: str) -> None:
+    """Reject the first of ``UNREAD[run]`` that ``config`` sets away from its default."""
+    for name in UNREAD[run]:
+        if getattr(config, name) != getattr(RunConfig, name):  # the class holds the default
+            raise ValueError(f"{run} does not read config.{name}; it must keep its default")
 
 
 def run_scenario(config: RunConfig) -> list[MetricsRow]:
@@ -289,7 +295,7 @@ def run_scenario(config: RunConfig) -> list[MetricsRow]:
     Each trial draws fresh (x0, n, Wbar) from its own stream; the correlation
     matrix is built once per run. Writes CSV when output_path is set.
     """
-    _reject_unread(config, "run_scenario", "dims")
+    _reject_unread(config, "run_scenario")
     definition = config.resolve_scenario()
     m, k = definition.dims
     grid = config.lambda_grid or definition.lambda_grid
@@ -298,7 +304,7 @@ def run_scenario(config: RunConfig) -> list[MetricsRow]:
 
 def _first_trial(config: RunConfig) -> tuple[LinearModel, tuple[float, ...]]:
     """The model of trial 0 at the first point of run_scenario(config), and its grid."""
-    _reject_unread(config, "run_scenario", "dims")
+    _reject_unread(config, "run_scenario")
     definition = config.resolve_scenario()
     m, k = definition.dims
     specs = [definition.specs_at(snr_db)  # checks every point
@@ -323,7 +329,7 @@ def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
     A set ``lambda_grid`` is rejected: the run would not use it. So is a
     scenario without ``lambda_grids`` (catalog entry ``i`` has three).
     """
-    _reject_unread(config, "lambda_sensitivity", "lambda_grid", "dims")
+    _reject_unread(config, "lambda_sensitivity")
     definition = config.resolve_scenario()
     if not definition.lambda_grids:
         raise ValueError(f"scenario {definition.name!r} has no lambda_grids to compare")
@@ -340,9 +346,9 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
     a thin SVD); ``config.trials`` (x0, n) pairs are drawn and their realized
     costs are averaged per penalty. Returns rows of (lambda, mc_mean_phi,
     predicted, rel_error). A set ``snr_points_db`` is rejected, as the variances are the
-    scenario's own, and so are ``dump_trials`` and ``dims``.
+    scenario's own, and so are ``dump_trials``, ``dims`` and a ``parallelism`` other than 1.
     """
-    _reject_unread(config, "verify_theorem", "snr_points_db", "dump_trials", "dims")
+    _reject_unread(config, "verify_theorem")
     definition = config.resolve_scenario()
     m, k = definition.dims
     grid = config.lambda_grid or definition.lambda_grid

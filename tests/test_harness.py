@@ -312,9 +312,11 @@ class TestVerifyTheorem:
         assert "lambda,mc_mean_phi,alpha,rel_error" in text
 
 
-    # neither field is read by the run, so neither may be set
-    @pytest.mark.parametrize("field, value", [("snr_points_db", (5.0,)), ("dump_trials", True)],
-                             ids=["snr_points_db", "dump_trials"])
+    # no field here is read by the run, so none may be set away from its RunConfig default
+    @pytest.mark.parametrize("field, value", [("snr_points_db", (5.0,)), ("dump_trials", True),
+                                              ("parallelism", 2), ("parallelism", None)],
+                             ids=["snr_points_db", "dump_trials", "parallelism-2",
+                                  "parallelism-auto"])
     def test_rejects_snr_points_it_would_not_run(self, tmp_path, field, value):
         config = RunConfig(scenario="fig1", trials=2, output_path=str(tmp_path / "fig1.csv"),
                            **{field: value})

@@ -9,54 +9,6 @@ from ridgesnr import DimensionError, nnls_2var, sym_eig
 from test_estimator import nnls_grid_oracle, objective
 
 
-class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(3))
-        assert np.allclose(w, 1.0)
-        # eigenvectors form a signed permutation of the identity
-        assert np.allclose(np.abs(v) @ np.abs(v.T), np.eye(3), atol=1e-12)
-
-    def test_two_by_two_analytic(self):
-        w, _ = sym_eig([[2.0, 1.0], [1.0, 2.0]])
-        assert w == pytest.approx([3.0, 1.0], abs=1e-12)
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(42)
-        a = rng.standard_normal((8, 8))
-        a = a + a.T
-        w, v = sym_eig(a)
-        rebuilt = v @ np.diag(w) @ v.T
-        assert np.max(np.abs(a - rebuilt)) <= 1e-8 * np.max(np.abs(a))
-
-    def test_descending_order(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((12, 12))
-        a = a + a.T
-        w, _ = sym_eig(a)
-        assert np.all(np.diff(w) <= 0)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            sym_eig(np.ones((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DimensionError):
-            sym_eig([[1.0, 2.0], [0.5, 1.0]])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=1, max_value=32), st.integers(min_value=0, max_value=10_000))
-    def test_orthonormality_and_trace_property(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        w, v = sym_eig(a)
-        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
-        rebuilt = v @ np.diag(w) @ v.T
-        scale = max(np.max(np.abs(a)), 1e-30)
-        assert np.max(np.abs(a - rebuilt)) <= 1e-8 * scale
-        assert abs(w.sum() - np.trace(a)) <= 1e-9 * scale * n
-
-
 class TestNnls2Var:
     def test_interior_optimum(self):
         sigma, resid = nnls_2var(np.eye(2), [1.0, 2.0])

@@ -218,6 +218,16 @@ class TestCatalog:
                                              f"the swept {variance} is not"):
             scenario_catalog(name).specs_at(snr_db)
 
+    # c at +3100 dB sweeps a positive noise variance 25/3 * 10 ** -310, but 10 ** 310
+    # overflows; fig1 sweeps nothing, so only the powers of ten are checked
+    @pytest.mark.parametrize("name, snr_db", [("c", 3100.0), ("fig1", 4000.0),
+                                              ("fig1", -4000.0)])
+    def test_specs_at_rejects_a_power_of_ten_out_of_range(self, name, snr_db):
+        with pytest.raises(ValueError, match=re.escape(
+                f"SNR point {snr_db} dB is out of range: 10 ** (dB/10) and 10 ** (-dB/10) "
+                f"must both be positive and finite")):
+            scenario_catalog(name).specs_at(snr_db)
+
     def test_scenario_d(self):
         defn = scenario_catalog("d")
         assert defn.signal.kind == "student_t"
