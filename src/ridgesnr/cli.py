@@ -85,13 +85,13 @@ def _as_is(value):
 # fits the field, and the conversion of a flag or config value to the field value).
 # An absent flag parses to None, so a config key can fill the field; a field that
 # neither sets keeps its RunConfig default. null fits only where the field may be None.
+# A {} in a help text shows the subcommand's default of the field.
 _RUN_FIELDS = {
     "trials": (
-        "--trials", dict(type=int, help="Monte-Carlo trials per point "
-                                        "(default 1000; 200 for verify-theorem)"),
+        "--trials", dict(type=int, help="Monte-Carlo trials per point (default {})"),
         lambda v: type(v) is int, _as_is),
     "master_seed": (
-        "--seed", dict(type=int, metavar="SEED", help="master seed (default 0)"),
+        "--seed", dict(type=int, metavar="SEED", help="master seed (default {})"),
         lambda v: type(v) is int, _as_is),
     "lambda_grid": (
         "--lambdas", dict(type=_parse_lambdas, metavar="LAMBDAS",
@@ -106,7 +106,7 @@ _RUN_FIELDS = {
         lambda v: v is None or type(v) is str, _as_is),
     # None is auto; a count below 1 is RunConfig's to reject
     "parallelism": (
-        "--parallelism", dict(metavar="N|auto", help="worker processes (default 1)"),
+        "--parallelism", dict(metavar="N|auto", help="worker processes (default {})"),
         lambda v: v in (None, "auto") or type(v) is int,
         lambda v: None if v in (None, "auto") else int(v)),
     "dump_trials": (
@@ -115,19 +115,22 @@ _RUN_FIELDS = {
         lambda v: type(v) is bool, _as_is),
     "dims": (
         "--dims", dict(type=_parse_dims,
-                       help="comma-separated MxK pairs (default: catalog g+h dims)"),
+                       help="comma-separated MxK pairs (default {})"),
         lambda v: v is None or type(v) is list and all(
             type(p) is list and list(map(type, p)) == [int, int] for p in v),
         lambda v: tuple((m, k) for m, k in v) if v else None),
 }
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, run: str) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser, run: str, defaults: dict) -> None:
     """Register the flag of every RunConfig field the harness ``run`` reads (all but
-    ``harness.UNREAD[run]``), then --config. A flag parses into ``args.<field>``."""
+    ``harness.UNREAD[run]``), then --config. A flag parses into ``args.<field>``, and its
+    help shows the field's value in ``defaults``, else its RunConfig default."""
     for name, (flag, spec, _, _) in _RUN_FIELDS.items():
         if name not in harness.UNREAD[run]:
-            parser.add_argument(flag, dest=name, **spec)
+            default = defaults.get(name, getattr(harness.RunConfig, name))
+            shown = ",".join(f"{m}x{k}" for m, k in default) if name == "dims" else default
+            parser.add_argument(flag, dest=name, **{**spec, "help": spec["help"].format(shown)})
     parser.add_argument("--config", help="JSON file with defaults for the flags above")
 
 
@@ -166,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--lambdas", type=_parse_lambdas, required=True)
     p_est.add_argument("--json", action="store_true", help="machine-readable output only")
 
-    for command, (run, scenario, _, text, _) in _RUNS.items():
+    for command, (run, scenario, defaults, text, _) in _RUNS.items():
         p_run = sub.add_parser(command, help=text)
-        _add_run_flags(p_run, run.__name__)
+        _add_run_flags(p_run, run.__name__, defaults)
         if scenario is None:  # `scenario` names its catalog entry and may dump a trial
             p_run.add_argument("name", choices=SCENARIO_NAMES)
             p_run.add_argument("--dump", default=None, metavar="DIR",

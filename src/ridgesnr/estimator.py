@@ -125,34 +125,35 @@ class RidgeSolution:
 
 @dataclass(frozen=True)
 class SnrEstimate:
-    """Estimated (sigma_x^2, sigma_n^2) and the implied SNR.
+    """Estimated (sigma_x^2, sigma_n^2), the SNR they imply, and fit diagnostics.
 
-    ``snr_linear`` is inf when the noise estimate is zero (with a positive
-    signal estimate), 0 when the signal estimate is zero, and nan when both
-    are zero; ``degenerate`` is True in exactly those cases.
+    ``snr_linear`` is the ratio of the two variances: inf when the noise estimate
+    is zero (with a positive signal estimate), 0 when the signal estimate is zero,
+    and nan when both are zero; ``degenerate`` is True in exactly those cases.
+    ``snr_db`` is 10 log10 of the ratio, -inf for a zero ratio.
     """
 
     sigma_x2_hat: float
     sigma_n2_hat: float
-    snr_linear: float
-    snr_db: float
-    fit_residual_norm: float = 0.0
-    fixed_point_iters: tuple = field(default=())
+    fit_residual_norm: float = field(default=0.0, kw_only=True)
+    fixed_point_iters: tuple = field(default=(), kw_only=True)
+
+    @property
+    def snr_linear(self) -> float:
+        if self.sigma_n2_hat > 0:
+            return self.sigma_x2_hat / self.sigma_n2_hat
+        return math.inf if self.sigma_x2_hat > 0 else math.nan
+
+    @property
+    def snr_db(self) -> float:
+        snr = self.snr_linear
+        if self.sigma_n2_hat > 0:
+            return 10.0 * math.log10(snr) if snr > 0 else -math.inf
+        return snr  # inf or nan
 
     @property
     def degenerate(self) -> bool:
         return not (0.0 < self.snr_linear < math.inf)
-
-
-def _snr_fields(sigma_x2: float, sigma_n2: float) -> tuple[float, float]:
-    if sigma_n2 > 0:
-        snr = sigma_x2 / sigma_n2
-        snr_db = 10.0 * math.log10(snr) if snr > 0 else -math.inf
-    elif sigma_x2 > 0:
-        snr, snr_db = math.inf, math.inf
-    else:
-        snr, snr_db = math.nan, math.nan
-    return snr, snr_db
 
 
 def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
@@ -175,7 +176,8 @@ def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
         raise DefinitenessError(f"matrix is not positive definite: {info}-th leading minor "
                                 "of the array is not positive definite")
     resid = model.y - model.design @ x_hat
-    phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
+    with np.errstate(over="ignore"):  # an overflowed cost reads inf, which nnls_2var rejects
+        phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
     return RidgeSolution(lam=lam, x_hat=x_hat, residual=resid, phi=phi)
 
 
@@ -317,10 +319,7 @@ class EstimatorPlan:
         """Blind SNR estimate of ``model`` (see :func:`estimate_snr`), from Xi @ sigma ~ costs
         under the sign constraint, with the norm of the fit residual costs - Xi @ sigma."""
         sigma, fit_residual = nnls_2var(self.xi, self.costs(model))
-        sigma_x2, sigma_n2 = float(sigma[0]), float(sigma[1])
-        snr, snr_db = _snr_fields(sigma_x2, sigma_n2)
-        return SnrEstimate(sigma_x2_hat=sigma_x2, sigma_n2_hat=sigma_n2, snr_linear=snr,
-                           snr_db=snr_db, fit_residual_norm=fit_residual,
+        return SnrEstimate(float(sigma[0]), float(sigma[1]), fit_residual_norm=fit_residual,
                            fixed_point_iters=self.fixed_point_iters)
 
 
@@ -348,12 +347,5 @@ def ml_baseline(model: LinearModel, true_sigma_x2: float) -> SnrEstimate:
     if true_sigma_x2 < 0:
         raise ValueError("true signal variance must be nonnegative")
     resid = ridge_solve(model, LS_EPSILON).residual
-    sigma_n2 = float(resid @ resid) / model.m
-    snr, snr_db = _snr_fields(true_sigma_x2, sigma_n2)
-    return SnrEstimate(
-        sigma_x2_hat=float(true_sigma_x2),
-        sigma_n2_hat=sigma_n2,
-        snr_linear=snr,
-        snr_db=snr_db,
-        fit_residual_norm=float(np.linalg.norm(resid)),
-    )
+    return SnrEstimate(float(true_sigma_x2), float(resid @ resid) / model.m,
+                       fit_residual_norm=float(np.linalg.norm(resid)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import LinearModel, _snr_fields
+from .estimator import LinearModel, SnrEstimate
 from .exceptions import DimensionError
 from .rmt import CorrelationSpectrum
 
@@ -118,11 +118,11 @@ class GroundTruth:
 
     @property
     def snr_linear(self) -> float:
-        return _snr_fields(self.sigma_x2, self.sigma_n2)[0]
+        return SnrEstimate(self.sigma_x2, self.sigma_n2).snr_linear
 
     @property
     def snr_db(self) -> float:
-        return _snr_fields(self.sigma_x2, self.sigma_n2)[1]
+        return SnrEstimate(self.sigma_x2, self.sigma_n2).snr_db
 
 
 def build_correlation(spec: CorrelationSpec) -> CorrelationSpectrum:
@@ -184,10 +184,10 @@ def synthesize(spectrum: CorrelationSpectrum, truth: GroundTruth,
 class ScenarioDefinition:
     """Complete description of one benchmark experiment.
 
-    ``swept`` names which variance is adjusted to hit each target SNR;
-    ``specs_at`` resolves the signal/noise pair for a target point. For the
-    fixed-variance verification setup ``swept`` is None and the base specs
-    are used as-is.
+    ``swept`` names which variance, "signal" or "noise", is adjusted to hit each
+    target SNR; any other value but None is a ValueError. ``specs_at`` resolves
+    the signal/noise pair for a target point. For the fixed-variance
+    verification setup ``swept`` is None and the base specs are used as-is.
     """
 
     name: str
@@ -201,6 +201,10 @@ class ScenarioDefinition:
     snr_points_db: tuple[float, ...]
     dims_list: tuple[tuple[int, int], ...] = field(default=())
     lambda_grids: tuple[tuple[float, ...], ...] = field(default=())
+
+    def __post_init__(self):
+        if self.swept not in (None, "signal", "noise"):
+            raise ValueError(f"swept must be None, 'signal' or 'noise', got {self.swept!r}")
 
     def specs_at(self, snr_db: float) -> tuple[DistributionSpec, DistributionSpec]:
         """The (signal, noise) pair at ``snr_db``. ValueError if the swept variance, or else

@@ -643,6 +643,22 @@ def test_each_subcommand_registers_exactly_its_flags(command, flags):
     assert registered - {"-h", "--help"} == flags
 
 
+@pytest.mark.parametrize("command, shown", [
+    ("scenario", ["--trials TRIALS Monte-Carlo trials per point (default 1000)"]),
+    ("verify-theorem", ["--trials TRIALS Monte-Carlo trials per point (default 200)"]),
+    ("dim-sweep", ["--trials TRIALS Monte-Carlo trials per point (default 1000)",
+                   "--dims DIMS comma-separated MxK pairs (default "
+                   "10x7,20x10,40x20,80x40,31x30,30x35)"]),
+    ("lambda-sensitivity", ["--trials TRIALS Monte-Carlo trials per point (default 1000)"]),
+])
+def test_help_names_the_subcommands_own_defaults(capsys, command, shown):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for line in shown:
+        assert line in text
+
+
 def _exit_code(argv) -> int:
     """cli.main's return code, or the code of the SystemExit argparse raises."""
     try:

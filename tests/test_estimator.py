@@ -1,9 +1,11 @@
 import math
 import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from ridgesnr import (
     CorrelationSpec,
@@ -13,11 +15,13 @@ from ridgesnr import (
     DistributionSpec,
     EstimatorPlan,
     LinearModel,
+    SnrEstimate,
     build_correlation,
     coefficients_grid,
     derive_rng,
     estimate_snr,
     ml_baseline,
+    nnls_2var,
     ridge_costs,
     ridge_solve,
     sample_truth,
@@ -426,6 +430,85 @@ class TestSolveSystem:
             int(coefficients_grid(model.spectrum, 40, 20, [lam])[1][0]) for lam in plan.lambdas)
 
 
+class TestSnrEstimate:
+    """The SNR fields derive from the two variances."""
+
+    def test_fields_are_the_variances_and_keyword_only_diagnostics(self):
+        assert [(f.name, f.kw_only) for f in fields(SnrEstimate)] == [
+            ("sigma_x2_hat", False), ("sigma_n2_hat", False),
+            ("fit_residual_norm", True), ("fixed_point_iters", True)]
+        for name in ("snr_linear", "snr_db", "degenerate"):
+            assert isinstance(getattr(SnrEstimate, name), property)
+
+    def test_four_positional_values_are_rejected(self):
+        with pytest.raises(TypeError):
+            SnrEstimate(1.0, 0.1, 2.5, (3, 4))
+
+    @pytest.mark.parametrize("sigma_x2, sigma_n2, snr_linear, snr_db, degenerate", [
+        (1.0, 0.1, 10.0, 10.0, False),
+        (0.0, 0.1, 0.0, -math.inf, True),
+        (1.0, 0.0, math.inf, math.inf, True),
+        (0.0, 0.0, math.nan, math.nan, True),
+    ], ids=["ratio", "zero signal", "zero noise", "both zero"])
+    def test_snr_rule(self, sigma_x2, sigma_n2, snr_linear, snr_db, degenerate):
+        est = SnrEstimate(sigma_x2, sigma_n2)
+        assert est.snr_linear == pytest.approx(snr_linear, nan_ok=True)
+        assert est.snr_db == pytest.approx(snr_db, nan_ok=True)
+        assert est.degenerate is degenerate
+
+    def test_replaced_variances_move_the_snr(self):
+        est = replace(SnrEstimate(1.0, 0.1, fit_residual_norm=0.5), sigma_n2_hat=0.0)
+        assert est.snr_linear == math.inf
+        assert est.degenerate
+        assert est.fit_residual_norm == 0.5
+
+
+class TestNnls2Var:
+    def test_interior_optimum(self):
+        sigma, resid = nnls_2var(np.eye(2), [1.0, 2.0])
+        assert sigma == pytest.approx([1.0, 2.0], abs=1e-12)
+        assert resid == pytest.approx(0.0, abs=1e-12)
+
+    def test_clamps_negative_component(self):
+        sigma, resid = nnls_2var(np.eye(2), [1.0, -1.0])
+        assert sigma == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert resid == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_grid_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            xi = rng.standard_normal((6, 2))
+            phi = rng.standard_normal(6)
+            sigma, _ = nnls_2var(xi, phi)
+            assert objective(xi, phi, sigma) <= nnls_grid_oracle(xi, phi) + 1e-3
+
+    def test_rank_deficient_falls_back(self):
+        xi = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        sigma, _ = nnls_2var(xi, [3.0, 3.0, 3.0])
+        assert np.all(sigma >= 0)
+        assert objective(xi, np.array([3.0, 3.0, 3.0]), sigma) <= 1e-18
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError):
+            nnls_2var(np.ones((3, 3)), np.ones(3))
+        with pytest.raises(DimensionError):
+            nnls_2var(np.ones((1, 2)), np.ones(1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_objective_dominates_simple_candidates(self, seed):
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((5, 2))
+        phi = rng.standard_normal(5)
+        sigma, _ = nnls_2var(xi, phi)
+        assert np.all(sigma >= 0)
+        best = objective(xi, phi, sigma)
+        assert best <= objective(xi, phi, np.zeros(2)) + 1e-12
+        unconstrained, *_ = np.linalg.lstsq(xi, phi, rcond=None)
+        clamped = np.maximum(unconstrained, 0.0)
+        assert best <= objective(xi, phi, clamped) + 1e-12
+
+
 class TestEstimateSnr:
     def test_zero_observation_degenerate(self):
         model = identity_model(np.zeros(8))
@@ -613,7 +696,10 @@ def _model_with(**changes) -> LinearModel:
     (lambda: _model_with(raw_design=np.ones((4, 3))), "raw design shape (4, 3) != design shape (4, 2)"),
     (lambda: _model_with(y=np.array([1.0, np.nan, 1.0, 1.0])), "model contains non-finite entries"),
     (lambda: next(ridge_costs(np.ones(4), [np.ones(4)], [1.0])), "design must be a matrix"),
-], ids=["spectrum dim", "design ndim", "raw design shape", "non-finite", "ridge_costs ndim"])
+    (lambda: nnls_2var(np.ones((3, 2)), np.ones(4)), "phi length (4,) does not match Xi rows 3"),
+    (lambda: nnls_2var(np.ones((3, 2)), [1.0, np.inf, 1.0]), "phi contains non-finite entries"),
+], ids=["spectrum dim", "design ndim", "raw design shape", "non-finite", "ridge_costs ndim",
+        "phi length", "non-finite phi"])
 def test_input_checks(call, message):
     with pytest.raises(DimensionError, match=re.escape(message)):
         call()

@@ -50,8 +50,7 @@ class TestDeriveRng:
 
 def estimates(*pairs):
     """One SnrEstimate per (sigma_x2, sigma_n2) pair; None (a failed trial) stays None."""
-    return [None if pair is None else
-            estimator.SnrEstimate(*pair, *estimator._snr_fields(*pair)) for pair in pairs]
+    return [None if pair is None else estimator.SnrEstimate(*pair) for pair in pairs]
 
 
 class TestAggregate:
@@ -165,6 +164,15 @@ class TestFailedTrials:
         assert math.isfinite(rows[intact].mean_est_db)
         assert rows[method].trials_failed == rows[method].trials
 
+    def test_overflowing_ridge_cost_fails_proposed_without_a_warning(self):
+        # at 3082 dB the signal variance 1.6e307 is finite, but ||x_hat||^2 overflows;
+        # the cost reads inf and nnls_2var rejects it, with no RuntimeWarning on the way
+        config = RunConfig(scenario="a", trials=2, snr_points_db=(3082.0,), parallelism=1)
+        rows = {r.method: r for r in run_scenario(config)}
+        assert rows["proposed"].trials_failed == 2
+        ml = rows["ml"]  # reads only its solve's residual, so it keeps its value
+        assert (ml.trials_failed, ml.trials_degenerate) == (0, 0)
+        assert ml.mean_est_db == pytest.approx(210.37824920558688, rel=1e-12)
 
     def test_failed_trials_are_not_dumped_as_degenerate(self, monkeypatch, tmp_path):
         def fail(*args):

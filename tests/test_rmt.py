@@ -709,7 +709,11 @@ class TestSymEig:
                               max_iter=0), ValueError, "max_iter must be at least 1, got 0"),
     (lambda: coefficients_grid(CorrelationSpectrum.from_diagonal(np.ones(4)), 5, 2, [1.0]),
      DimensionError, "spectrum dim 4 != M = 5"),
-], ids=["empty", "non-finite", "basis shape", "zero matrix", "K", "max_iter", "M"])
+    (lambda: sym_eig(np.ones(3)), DimensionError, "A must be two-dimensional"),
+    (lambda: sym_eig([[1.0, np.nan], [np.nan, 1.0]]), DimensionError,
+     "A contains non-finite entries"),
+], ids=["empty", "non-finite", "basis shape", "zero matrix", "K", "max_iter", "M", "ndim",
+        "non-finite matrix"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

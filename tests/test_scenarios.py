@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -269,7 +270,9 @@ class TestCatalog:
                                      5, 3, np.random.default_rng(0)),
                         np.random.default_rng(1)),
      DimensionError, "noise length 5 != correlation dim 4"),
-], ids=["dim", "kind", "scale", "noise length"])
+    (lambda: replace(scenario_catalog("a"), swept="Signal"), ValueError,
+     "swept must be None, 'signal' or 'noise', got 'Signal'"),
+], ids=["dim", "kind", "scale", "noise length", "swept"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
