@@ -135,11 +135,11 @@ def _add_run_flags(parser: argparse.ArgumentParser, run: str, defaults: dict) ->
 
 
 def _print_metrics(rows) -> None:
-    print("\n".join(harness._table(harness.MetricsRow, rows)))
+    print("\n".join(harness._metrics_table(rows)))
 
 
 def _print_theorem(rows) -> None:
-    print("\n".join(harness._theorem_table(rows)))
+    print("\n".join(harness._table(harness.THEOREM_COLUMNS, rows)))
     print(f"# max relative error: {max(r[3] for r in rows):.6f}")
 
 

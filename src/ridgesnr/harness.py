@@ -52,7 +52,6 @@ from .scenarios import (
 __all__ = [
     "RunConfig",
     "MetricsRow",
-    "TrialRecord",
     "run_scenario",
     "verify_theorem",
     "dim_sweep",
@@ -140,23 +139,6 @@ class MetricsRow:
     grid_label: str = ""
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Per-trial outcome kept for the optional dump."""
-
-    snr_true_db: float
-    method: str
-    m: int
-    k: int
-    trial: int
-    sigma_x2_hat: float
-    sigma_n2_hat: float
-    snr_linear: float
-    snr_db: float
-    degenerate: bool
-    grid_label: str = ""
-
-
 def _grid_label(grid) -> str:
     return ";".join(dataio.format_float(v) for v in grid)
 
@@ -229,15 +211,14 @@ def _correlation_for(definition: ScenarioDefinition, m: int, seed: int) -> Corre
     return build_correlation(spec)
 
 
-def _trial_records(pairs, snr_db, m, k, grid_label="") -> list[TrialRecord]:
-    """Dump rows of each trial's pair; a failed method has nan estimates, not degenerate."""
-    records = []
+def _trial_rows(pairs, snr_db, m, k, grid_label=""):
+    """TRIAL_COLUMNS rows of each trial's pair; a failed method has nan estimates, not
+    degenerate."""
     for trial, pair in enumerate(pairs):
         for method, est in zip(("proposed", "ml"), pair):
             values = (math.nan,) * 4 + (False,) if est is None else (
                 est.sigma_x2_hat, est.sigma_n2_hat, est.snr_linear, est.snr_db, est.degenerate)
-            records.append(TrialRecord(snr_db, method, m, k, trial, *values, grid_label))
-    return records
+            yield (snr_db, method, m, k, trial, *values, grid_label)
 
 
 def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[MetricsRow]:
@@ -250,7 +231,7 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     points = config.snr_points_db or definition.snr_points_db
     specs = [definition.specs_at(snr_db) for snr_db in points]  # checks every point first
     rows: list[MetricsRow] = []
-    records: list[TrialRecord] = []
+    trial_rows: list[tuple] = []
     trials = config.trials
     workers = config.parallelism or min(8, os.cpu_count() or 1)
     pooled = workers > 1 and trials >= 2 * workers
@@ -271,8 +252,8 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
                 for method, estimates in zip(("proposed", "ml"), zip(*pairs)):
                     rows.append(_aggregate(snr_db, method, m, k, estimates, label))
                 if config.dump_trials:
-                    records.extend(_trial_records(pairs, snr_db, m, k, label))
-    _write_outputs(config, rows, records)
+                    trial_rows.extend(_trial_rows(pairs, snr_db, m, k, label))
+    _write_outputs(config, rows, trial_rows)
     return rows
 
 
@@ -372,7 +353,7 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
         rel = abs(mc - predicted) / predicted if predicted != 0 else abs(mc)
         rows.append((float(lam), float(mc), float(predicted), float(rel)))
     if config.output_path:
-        _write_csv(config.output_path, config, _theorem_table(rows))
+        _write_csv(config.output_path, config, _table(THEOREM_COLUMNS, rows))
     return rows
 
 
@@ -385,10 +366,12 @@ def estimate_from_files(y_path, wbar_path, psi_path, lambdas):
 # ---------------------------------------------------------------------------
 # CSV output
 
-# Text of one CSV cell, by the declared type of its record field (a string,
-# as this module postpones the evaluation of annotations).
-_CELL_TEXT = {"float": dataio.format_float, "int": str, "str": str,
-              "bool": lambda value: str(int(value))}
+# The columns of the three run tables: a metrics row, a row of the per-trial dump,
+# and a verify_theorem row.
+METRICS_COLUMNS = tuple(column.name for column in fields(MetricsRow))
+TRIAL_COLUMNS = ("snr_true_db", "method", "m", "k", "trial", "sigma_x2_hat", "sigma_n2_hat",
+                 "snr_linear", "snr_db", "degenerate", "grid_label")
+THEOREM_COLUMNS = ("lambda", "mc_mean_phi", "alpha", "rel_error")
 
 
 def _config_header(config: RunConfig) -> list[str]:
@@ -410,33 +393,33 @@ def _config_header(config: RunConfig) -> list[str]:
     ]
 
 
-def _table(record_type: type, records) -> list[str]:
-    """Column header (the record type's field names) and one CSV line per record."""
-    columns = fields(record_type)
-    values = attrgetter(*(column.name for column in columns))
-    texts = [_CELL_TEXT[column.type] for column in columns]
-    lines = [",".join(column.name for column in columns)]
-    for record in records:
-        lines.append(",".join(text(value) for text, value in zip(texts, values(record))))
-    return lines
+def _cell(value) -> str:
+    """Text of one CSV cell: a float to 12 significant digits, a bool as 0/1, else str."""
+    if isinstance(value, float):  # np.float64 is a float; tested first, as most cells are
+        return dataio.format_float(value)
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    return str(value)
 
 
-def _theorem_table(rows: list[tuple[float, float, float, float]]) -> list[str]:
-    """Column header and one CSV line per (lambda, mc_mean_phi, alpha, rel_error) row."""
-    return ["lambda,mc_mean_phi,alpha,rel_error"] + [
-        ",".join(dataio.format_float(v) for v in row) for row in rows]
+def _table(columns: tuple[str, ...], rows) -> list[str]:
+    """Column header and one CSV line per row of values in column order."""
+    return [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
+
+
+def _metrics_table(rows: list[MetricsRow]) -> list[str]:
+    return _table(METRICS_COLUMNS, map(attrgetter(*METRICS_COLUMNS), rows))
 
 
 def _write_csv(path: str | Path, config: RunConfig, table: list[str]) -> None:
     Path(path).write_text("\n".join(_config_header(config) + table) + "\n")
 
 
-def _write_outputs(config: RunConfig, rows: list[MetricsRow],
-                   records: list[TrialRecord]) -> None:
+def _write_outputs(config: RunConfig, rows: list[MetricsRow], trial_rows: list[tuple]) -> None:
     if not config.output_path:
         return
-    _write_csv(config.output_path, config, _table(MetricsRow, rows))
+    _write_csv(config.output_path, config, _metrics_table(rows))
     if config.dump_trials:
         out = Path(config.output_path)
         _write_csv(out.with_name(out.stem + "_trials" + out.suffix), config,
-                   _table(TrialRecord, records))
+                   _table(TRIAL_COLUMNS, trial_rows))

@@ -597,6 +597,21 @@ class TestCliRuns:
         assert len(captured.err.splitlines()) == 1
         assert not list(dump.iterdir())
 
+    # the dump draws trial 0 again, apart from the sweep; both must give the same estimate
+    def test_dump_is_the_sweeps_own_trial_0(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert cli.main(["scenario", "a", "--trials", "3", "--seed", "4", "--snr-db", "10,20",
+                         "--lambdas", "0.002,0.004,0.008", "--dump-trials", "--out", str(out),
+                         "--dump", str(tmp_path / "dump")]) == 0
+        lines = (tmp_path / "run_trials.csv").read_text().splitlines()
+        rows = [dict(zip(lines[2].split(","), line.split(","))) for line in lines[3:]]
+        first = next(row for row in rows if row["method"] == "proposed")
+        assert (first["snr_true_db"], first["trial"]) == ("10", "0")
+        recorded = json.loads((tmp_path / "dump" / "estimate.json").read_text())
+        assert (tmp_path / "dump" / "lambdas.csv").read_text() == "0.002,0.004,0.008\n"
+        for name in ("sigma_x2_hat", "sigma_n2_hat"):
+            assert dataio.format_float(recorded[name]) == first[name]
+
     @pytest.mark.parametrize("name", ["a", "c"])
     def test_snr_points_of_400_db_still_run(self, tmp_path, capsys, name):
         out = tmp_path / "o.csv"

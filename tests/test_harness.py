@@ -22,7 +22,7 @@ from ridgesnr import (
     verify_theorem,
 )
 from ridgesnr.exceptions import ConvergenceError, DimensionError, RidgeSnrError
-from ridgesnr.harness import (STREAM_FIXED_DESIGN, STREAM_THEOREM_DRAWS, _aggregate,
+from ridgesnr.harness import (STREAM_FIXED_DESIGN, STREAM_THEOREM_DRAWS, _aggregate, _cell,
                               _correlation_for, derive_rng, estimate_from_files)
 from square_requests import reference_estimate, write_square_request
 
@@ -508,6 +508,34 @@ class TestEstimateFromFiles:
         sigma = np.array([estimate.sigma_x2_hat, estimate.sigma_n2_hat])
         assert np.all(np.isfinite(sigma))
         assert np.max(np.abs(sigma - reference)) <= 1e-5 * np.sum(reference)
+
+
+class TestCsvTables:
+    @pytest.mark.parametrize("value, text", [
+        (True, "1"), (False, "0"), (np.bool_(True), "1"), (np.bool_(False), "0"),
+        (7, "7"), (-12345678901234, "-12345678901234"), (np.int64(40), "40"),
+        (0.1, "0.1"), (1.0, "1"), (10.0, "10"), (1 / 3, "0.333333333333"), (1e-300, "1e-300"),
+        (np.float64(2 / 3), "0.666666666667"), (math.nan, "nan"), (np.float64(math.inf), "inf"),
+        (-math.inf, "-inf"), ("proposed", "proposed"), ("", ""), ("0.001;0.002", "0.001;0.002"),
+    ])
+    def test_cell_text_follows_the_value_type(self, value, text):
+        assert _cell(value) == text
+
+    # the column lists fix each file's column order; a reordering shows here by name
+    def test_header_lines(self, tmp_path):
+        run_scenario(small_config(tmp_path, trials=2))
+        verify_theorem(RunConfig(scenario="fig1", trials=2, lambda_grid=(0.5,),
+                                 output_path=str(tmp_path / "theorem.csv")))
+        headers = {name: next(line for line in (tmp_path / name).read_text().splitlines()
+                              if not line.startswith("#"))
+                   for name in ("out_p1.csv", "out_p1_trials.csv", "theorem.csv")}
+        assert headers == {
+            "out_p1.csv": "snr_true_db,method,m,k,trials,trials_degenerate,trials_failed,"
+                          "mean_est_db,bias_db,nmse_db,norm_err_mean,norm_err_var,grid_label",
+            "out_p1_trials.csv": "snr_true_db,method,m,k,trial,sigma_x2_hat,sigma_n2_hat,"
+                                 "snr_linear,snr_db,degenerate,grid_label",
+            "theorem.csv": "lambda,mc_mean_phi,alpha,rel_error",
+        }
 
 
 # sha256 of the metrics and per-trial CSVs at trials=4, seed=3, one SNR point.
