@@ -4,12 +4,11 @@ Subcommands: estimate, scenario, verify-theorem, dim-sweep, lambda-sensitivity.
 Exit codes: 0 success, 2 configuration/parse error, 3 numeric convergence or
 definiteness failure, 4 I/O error.
 
-Each RunConfig field has one entry in ``_RUN_FIELDS`` (its flag, the ``--config``
-JSON type check and the conversion to the field value), and each run subcommand
-one in ``_RUNS``. A run subcommand reads every field but those ``harness.UNREAD``
-lists for its run. A flag left unset falls back to the config key of the field's
-name, then to the subcommand's own default, then to RunConfig's. An unread config
-key, a value of the wrong type, or an SNR point that ``specs_at`` rejects exits 2.
+Each RunConfig field has its flag in ``_RUN_FIELDS``, and each run subcommand its entry
+in ``_RUNS``; a run subcommand reads every field but those ``harness.UNREAD`` lists for
+its run. A flag left unset falls back to the config key of the field's name, then to the
+subcommand's own default, then to RunConfig's. An unread config key, a value RunConfig
+rejects, or an SNR point that ``specs_at`` rejects exits 2.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 
 from . import dataio, harness
 from .exceptions import ConvergenceError, DataFormatError, DefinitenessError, RidgeSnrError
@@ -69,56 +69,20 @@ def _parse_dims(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(dims)
 
 
-def _numbers(value) -> bool:
-    return type(value) is list and all(type(v) in (int, float) for v in value)
-
-
-def _floats(values) -> tuple[float, ...] | None:
-    return tuple(float(v) for v in values) if values else None
-
-
-def _as_is(value):
-    return value
-
-
-# RunConfig field -> (its flag, the flag's argparse spec, whether a --config JSON value
-# fits the field, and the conversion of a flag or config value to the field value).
-# An absent flag parses to None, so a config key can fill the field; a field that
-# neither sets keeps its RunConfig default. null fits only where the field may be None.
-# A {} in a help text shows the subcommand's default of the field.
+# RunConfig field -> its flag and the flag's argparse spec; a {} in a help text shows the
+# subcommand's default. An absent flag parses to None, so a config key can fill the field.
 _RUN_FIELDS = {
-    "trials": (
-        "--trials", dict(type=int, help="Monte-Carlo trials per point (default {})"),
-        lambda v: type(v) is int, _as_is),
-    "master_seed": (
-        "--seed", dict(type=int, metavar="SEED", help="master seed (default {})"),
-        lambda v: type(v) is int, _as_is),
-    "lambda_grid": (
-        "--lambdas", dict(type=_parse_lambdas, metavar="LAMBDAS",
-                          help="comma-separated penalty grid (default: scenario catalog)"),
-        lambda v: v is None or _numbers(v), _floats),
-    "snr_points_db": (
-        "--snr-db", dict(type=_parse_snr_range, metavar="SNR_DB",
-                         help="SNR sweep as a:b:step or comma list (default: scenario catalog)"),
-        lambda v: v is None or _numbers(v), _floats),
-    "output_path": (
-        "--out", dict(metavar="OUT", help="output CSV path"),
-        lambda v: v is None or type(v) is str, _as_is),
-    # None is auto; a count below 1 is RunConfig's to reject
-    "parallelism": (
-        "--parallelism", dict(metavar="N|auto", help="worker processes (default {})"),
-        lambda v: v in (None, "auto") or type(v) is int,
-        lambda v: None if v in (None, "auto") else int(v)),
-    "dump_trials": (
-        "--dump-trials", dict(action="store_true", default=None,
-                              help="also write a per-trial CSV next to --out"),
-        lambda v: type(v) is bool, _as_is),
-    "dims": (
-        "--dims", dict(type=_parse_dims,
-                       help="comma-separated MxK pairs (default {})"),
-        lambda v: v is None or type(v) is list and all(
-            type(p) is list and list(map(type, p)) == [int, int] for p in v),
-        lambda v: tuple((m, k) for m, k in v) if v else None),
+    "trials": ("--trials", dict(type=int, help="Monte-Carlo trials per point (default {})")),
+    "master_seed": ("--seed", dict(type=int, metavar="SEED", help="master seed (default {})")),
+    "lambda_grid": ("--lambdas", dict(type=_parse_lambdas, metavar="LAMBDAS", help="comma-separated"
+                                      " penalty grid (default: scenario catalog)")),
+    "snr_points_db": ("--snr-db", dict(type=_parse_snr_range, metavar="SNR_DB", help="SNR sweep as "
+                                       "a:b:step or comma list (default: scenario catalog)")),
+    "output_path": ("--out", dict(metavar="OUT", help="output CSV path")),
+    "parallelism": ("--parallelism", dict(metavar="N|auto", help="worker processes (default {})")),
+    "dump_trials": ("--dump-trials", dict(action="store_true", default=None,
+                                          help="also write a per-trial CSV next to --out")),
+    "dims": ("--dims", dict(type=_parse_dims, help="comma-separated MxK pairs (default {})")),
 }
 
 
@@ -126,7 +90,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, run: str, defaults: dict) ->
     """Register the flag of every RunConfig field the harness ``run`` reads (all but
     ``harness.UNREAD[run]``), then --config. A flag parses into ``args.<field>``, and its
     help shows the field's value in ``defaults``, else its RunConfig default."""
-    for name, (flag, spec, _, _) in _RUN_FIELDS.items():
+    for name, (flag, spec) in _RUN_FIELDS.items():
         if name not in harness.UNREAD[run]:
             default = defaults.get(name, getattr(harness.RunConfig, name))
             shown = ",".join(f"{m}x{k}" for m, k in default) if name == "dims" else default
@@ -188,29 +152,25 @@ def _resolve_run_config(args: argparse.Namespace) -> harness.RunConfig:
             payload = json.load(handle)
         if not isinstance(payload, dict):
             raise DataFormatError(f"{args.config}: config must be a JSON object")
-    for key, value in payload.items():
+    for key in payload:
         if key not in _RUN_FIELDS or not hasattr(args, key):
             raise DataFormatError(f"{args.config}: {args.command} reads no config key {key!r}")
-        if not _RUN_FIELDS[key][2](value):
-            raise DataFormatError(f"{args.config}: config key {key!r} has a value of the "
-                                  f"wrong type: {value!r}")
-
-    values = {}
-    for name, (_, _, _, convert) in _RUN_FIELDS.items():
-        if getattr(args, name, None) is not None:
-            values[name] = convert(getattr(args, name))
-        elif name in payload:
-            values[name] = convert(payload[name])
-        if values.get(name) is None and name in defaults:  # unset, or null in the config
-            values[name] = defaults[name]
-    return harness.RunConfig(scenario=scenario or args.name, **values)
+    flags = {name: value for name, value in vars(args).items()
+             if name in _RUN_FIELDS and value is not None}
+    if payload.get("parallelism") == "auto":  # the config's word for None, as the flag's
+        payload["parallelism"] = None
+    if "parallelism" in flags:
+        flags["parallelism"] = None if flags["parallelism"] == "auto" else int(flags["parallelism"])
+    # RunConfig checks every config value; a null or empty one leaves the subcommand's default
+    config = harness.RunConfig(scenario=scenario or args.name, **{**defaults, **payload})
+    unset = {name: value for name, value in defaults.items() if getattr(config, name) is None}
+    return replace(config, **{**unset, **flags})
 
 
 def _print_estimate(estimate, as_json: bool) -> None:
     if as_json:
-        print(json.dumps({**dataio._estimate_json(estimate),
-                          "fit_residual_norm": estimate.fit_residual_norm,
-                          "fixed_point_iters": list(estimate.fixed_point_iters)}))
+        print(json.dumps(dataio._estimate_json(estimate, "fit_residual_norm", "fixed_point_iters"),
+                         allow_nan=False))
         return
     print(f"sigma_x2_hat      = {estimate.sigma_x2_hat:.10g}")
     print(f"sigma_n2_hat      = {estimate.sigma_n2_hat:.10g}")
@@ -250,7 +210,7 @@ def _attach_dash_values(argv) -> list[str]:
     """Join --config or a value-taking run flag to a next token that starts with '-' and
     a digit or '.' ('--snr-db -4:20:2' becomes '--snr-db=-4:20:2'), which argparse would
     otherwise read as an option unless it is a plain number."""
-    takes_value = {"--config"} | {flag for flag, spec, _, _ in _RUN_FIELDS.values()
+    takes_value = {"--config"} | {flag for flag, spec in _RUN_FIELDS.values()
                                   if "action" not in spec}
     joined = []
     for token in argv:

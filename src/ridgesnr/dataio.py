@@ -154,15 +154,13 @@ def load_model(y_path: str | Path, wbar_path: str | Path,
     return LinearModel(design=design, raw_design=wbar, spectrum=spectrum, y=y)
 
 
-def _estimate_json(estimate: SnrEstimate) -> dict:
-    """The fields of an estimate in ``estimate.json``; ``estimate --json`` adds diagnostics."""
-    return {
-        "sigma_x2_hat": estimate.sigma_x2_hat,
-        "sigma_n2_hat": estimate.sigma_n2_hat,
-        "snr_linear": estimate.snr_linear,
-        "snr_db": estimate.snr_db,
-        "degenerate": estimate.degenerate,
-    }
+def _estimate_json(estimate: SnrEstimate, *extra: str) -> dict:
+    """The fields of an estimate in ``estimate.json``, then the ``extra`` ones; a nan or inf is
+    null, as strict JSON has neither (``degenerate`` says why)."""
+    names = ("sigma_x2_hat", "sigma_n2_hat", "snr_linear", "snr_db", "degenerate", *extra)
+    values = (getattr(estimate, name) for name in names)
+    return {name: None if isinstance(v, float) and not np.isfinite(v) else v
+            for name, v in zip(names, values)}
 
 
 def dump_model(directory: str | Path, model: LinearModel, lambdas,
@@ -185,5 +183,6 @@ def dump_model(directory: str | Path, model: LinearModel, lambdas,
     Path(paths["lambdas"]).write_text(",".join(format_float(v) for v in lambdas) + "\n")
     if estimate is not None:
         paths["estimate"] = directory / "estimate.json"
-        Path(paths["estimate"]).write_text(json.dumps(_estimate_json(estimate), indent=2) + "\n")
+        text = json.dumps(_estimate_json(estimate), indent=2, allow_nan=False)
+        Path(paths["estimate"]).write_text(text + "\n")
     return {k: str(v) for k, v in paths.items()}

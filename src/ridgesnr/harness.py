@@ -76,6 +76,42 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     )
 
 
+# Each RunConfig field's rule returns the value to store, or raises TypeError for a value of
+# the wrong kind (a bool, numpy's too, is only a bool) and ValueError for one out of range.
+def _kind(value, types, text: str):
+    if not isinstance(value, types) or isinstance(value, (bool, np.bool_)) and types is not bool:
+        raise TypeError(f"{value!r} is not {text}")
+    return value
+
+
+def _integer(value, least: int, why: str) -> int:
+    if _kind(value, (int, np.integer), "an integer") < least:
+        raise ValueError(why)
+    return int(value)
+
+
+def _pair(m, k) -> tuple[int, int]:
+    why = f"dims {m}x{k} has a negative dimension"
+    return _integer(m, 0, why), _integer(k, 0, why)
+
+
+def _each(rule):  # a sequence is stored as a tuple, and an empty one as None
+    return lambda values: None if values is None else tuple(map(rule, values)) or None
+
+
+_reals = _each(lambda v: float(_kind(v, (int, float, np.integer, np.floating), "a real number")))
+_FIELD_RULES = {
+    "trials": lambda v: _integer(v, 1, "trials must be at least 1"),
+    "master_seed": lambda v: _integer(v, 0, "master_seed must be at least 0"),
+    "lambda_grid": _reals,
+    "snr_points_db": _reals,
+    "output_path": lambda v: _kind(v, (str, os.PathLike, type(None)), "a str or os.PathLike"),
+    "parallelism": lambda v: v if v is None else _integer(v, 1, "parallelism must be positive"),
+    "dump_trials": lambda v: _kind(v, bool, "a bool"),
+    "dims": _each(lambda pair: _pair(*pair)),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one harness run.
@@ -86,6 +122,11 @@ class RunConfig:
     signal/noise draws. A run checks its SNR points with
     ``ScenarioDefinition.specs_at`` before its first trial, and rejects a field it
     does not read (its ``UNREAD`` entry) that is set away from its default.
+    Each field but ``scenario`` passes its ``_FIELD_RULES`` rule or raises ValueError:
+    ``trials`` (>= 1), ``master_seed`` (>= 0) and ``parallelism`` (None or >= 1) are integers
+    (numpy's too, never bools), stored as int; ``lambda_grid`` and ``snr_points_db`` (reals) and
+    ``dims`` ((M, K) integer pairs >= 0) are None or sequences, stored as tuples of floats or int
+    pairs (empty: None); ``output_path`` is None, a str or an os.PathLike; ``dump_trials`` a bool.
     """
 
     scenario: str | ScenarioDefinition = "a"
@@ -99,13 +140,12 @@ class RunConfig:
     dims: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError("parallelism must be positive")
-        for m, k in self.dims or ():
-            if m < 0 or k < 0:
-                raise ValueError(f"dims {m}x{k} has a negative dimension")
+        for name, rule in _FIELD_RULES.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, rule(value))
+            except (TypeError, OverflowError) as exc:  # the wrong kind of value
+                raise ValueError(f"{name!r} = {value!r}: {exc}") from None
 
     def resolve_scenario(self) -> ScenarioDefinition:
         if isinstance(self.scenario, ScenarioDefinition):

@@ -19,7 +19,7 @@ from ridgesnr.dataio import (
     write_vector,
 )
 from ridgesnr.exceptions import DataFormatError, DimensionError
-from ridgesnr.estimator import estimate_snr
+from ridgesnr.estimator import LinearModel, SnrEstimate, estimate_snr
 from ridgesnr.rmt import CorrelationSpectrum
 from square_requests import reference_estimate, write_square_request
 
@@ -38,6 +38,13 @@ def dump_scenario(out_dir: Path, name: str) -> Path:
     ])
     assert code == 0
     return out_dir
+
+
+def strict_json(text: str):
+    """json.loads that, like strict parsers such as jq, rejects NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture()
@@ -214,6 +221,16 @@ class TestDataIO:
         with pytest.raises(DimensionError):
             load_model(tmp_path / "y.csv", tmp_path / "w.csv", tmp_path / "psi.csv")
 
+    # an infinite SNR (zero noise variance) reads null in estimate.json
+    def test_dumped_estimate_json_is_strict(self, tmp_path):
+        wbar = np.random.default_rng(0).standard_normal((20, 10))
+        model = LinearModel(design=wbar, raw_design=wbar, y=np.ones(20),
+                            spectrum=CorrelationSpectrum.from_diagonal(np.ones(20)))
+        paths = dump_model(tmp_path, model, (0.1, 0.2), SnrEstimate(1.0, 0.0))
+        assert strict_json(Path(paths["estimate"]).read_text()) == {
+            "sigma_x2_hat": 1.0, "sigma_n2_hat": 0.0, "snr_linear": None, "snr_db": None,
+            "degenerate": True}
+
 
 class TestCliEstimate:
     def test_roundtrip_matches_dumped_estimate(self, tmp_path, capsys):
@@ -356,6 +373,17 @@ class TestCliEstimate:
         else:
             reported = json.loads(out)
             assert np.isfinite([reported["sigma_x2_hat"], reported["sigma_n2_hat"]]).all()
+
+    # y = 0 fits zero variances: the nan SNR reads null, and degenerate says why
+    def test_degenerate_estimate_json_is_strict(self, tmp_path, capsys):
+        write_vector(tmp_path / "y.csv", np.zeros(20))
+        write_matrix(tmp_path / "w.csv", np.random.default_rng(0).standard_normal((20, 10)))
+        (tmp_path / "psi.csv").write_text("diag:" + ",".join(["1"] * 20) + "\n")
+        assert cli.main(["estimate", str(tmp_path / "y.csv"), str(tmp_path / "w.csv"),
+                         str(tmp_path / "psi.csv"), "--lambdas", "0.1,0.2", "--json"]) == 0
+        reported = strict_json(capsys.readouterr().out)
+        assert (reported["snr_linear"], reported["snr_db"], reported["degenerate"]) == (
+            None, None, True)
 
     def test_text_output_matches_json(self, dumped_model, capsys):
         argv = ["estimate", str(dumped_model / "y.csv"), str(dumped_model / "wbar.csv"),
@@ -554,6 +582,33 @@ class TestCliRuns:
         assert cli.main(["scenario", "a", "--config", str(cfg), "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_exits_config_error_naming_the_field(self, capsys):
+        assert cli.main(["scenario", "a", "--trials", "2", "--snr-db", "10", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "master_seed" in captured.err
+
+    # null is no trial count, even where the subcommand defaults its own, and a config
+    # value is checked even when a flag overrides it
+    @pytest.mark.parametrize("flags", [[], ["--trials", "2"]], ids=["config", "overridden"])
+    def test_null_trials_exits_config_error_on_verify_theorem(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trials": None}))
+        out = tmp_path / "o.csv"
+        assert cli.main(["verify-theorem", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert repr("trials") in capsys.readouterr().err
+        assert not out.exists()
+
+    # a null or empty dims in the config leaves dim-sweep its g+h default
+    @pytest.mark.parametrize("dims", [None, []], ids=["null", "empty"])
+    def test_dim_sweep_config_without_dims_runs_the_default_dims(self, tmp_path, capsys, dims):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trials": 2, "snr_points_db": [10], "dims": dims}))
+        assert cli.main(["dim-sweep", "--config", str(cfg)]) == 0
+        with_config = capsys.readouterr().out
+        assert cli.main(["dim-sweep", "--trials", "2", "--snr-db", "10"]) == 0
+        assert with_config == capsys.readouterr().out
 
     def test_bad_config_json_exits_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -576,10 +576,41 @@ class TestPinnedOutput:
         assert _sha256(out) == _PINNED_THEOREM
 
 
+# every wrong value is a ValueError from RunConfig itself, before any trial runs;
+# a value of the wrong kind names its field as repr(name)
 @pytest.mark.parametrize("changes, message", [
     (dict(trials=0), "trials must be at least 1"),
     (dict(parallelism=0), "parallelism must be positive"),
-], ids=["trials", "parallelism"])
+    (dict(trials=2.5), "'trials' = 2.5: 2.5 is not an integer"),
+    (dict(parallelism=2.5), "'parallelism' = 2.5: 2.5 is not an integer"),
+    (dict(trials=True), "'trials' = True: True is not an integer"),
+    (dict(output_path=123), "'output_path' = 123: 123 is not a str or os.PathLike"),
+    (dict(lambda_grid=("0.001", "0.002")),
+     "'lambda_grid' = ('0.001', '0.002'): '0.001' is not a real number"),
+    (dict(dump_trials="no"), "'dump_trials' = 'no': 'no' is not a bool"),
+    (dict(snr_points_db=10.0), "'snr_points_db' = 10.0: "),
+    (dict(master_seed=-1), "master_seed must be at least 0"),
+], ids=["trials", "parallelism", "trials-float", "parallelism-float", "trials-bool",
+        "output-path-int", "lambda-grid-strings", "dump-trials-str", "snr-points-scalar",
+        "master-seed-negative"])
 def test_input_checks(changes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig(**changes)
+
+
+# an accepted value is stored normalized; repr also compares the stored types, since a
+# numpy scalar's repr differs from a builtin's
+@pytest.mark.parametrize("changes, stored", [
+    (dict(trials=np.int64(3)), dict(trials=3)),
+    (dict(master_seed=np.int64(7)), dict(master_seed=7)),
+    (dict(lambda_grid=np.array([1e-3, 2e-3])), dict(lambda_grid=(1e-3, 2e-3))),
+    (dict(lambda_grid=[1, 2e-3]), dict(lambda_grid=(1.0, 2e-3))),
+    (dict(lambda_grid=(), snr_points_db=[], dims=()),
+     dict(lambda_grid=None, snr_points_db=None, dims=None)),
+    (dict(dims=[[np.int64(16), 8]], parallelism=None), dict(dims=((16, 8),), parallelism=None)),
+], ids=["numpy-trials", "numpy-seed", "numpy-grid", "list-grid", "empty", "dims-list"])
+def test_accepted_inputs_are_normalized(changes, stored):
+    config = RunConfig(**changes)
+    for name, value in stored.items():
+        assert getattr(config, name) == value
+        assert repr(getattr(config, name)) == repr(value)
