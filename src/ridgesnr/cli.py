@@ -160,9 +160,15 @@ def _resolve_run_config(args: argparse.Namespace) -> harness.RunConfig:
     if payload.get("parallelism") == "auto":  # the config's word for None, as the flag's
         payload["parallelism"] = None
     if "parallelism" in flags:
-        flags["parallelism"] = None if flags["parallelism"] == "auto" else int(flags["parallelism"])
-    # RunConfig checks every config value; a null or empty one leaves the subcommand's default
-    config = harness.RunConfig(scenario=scenario or args.name, **{**defaults, **payload})
+        text = flags["parallelism"]
+        try:
+            flags["parallelism"] = None if text == "auto" else int(text)
+        except ValueError:
+            raise ValueError(f"'parallelism' = {text!r}: not an integer or 'auto'") from None
+    # RunConfig checks every config value, with the flags the config does not set (a
+    # dump_trials key may take its output_path from --out); a null or empty one leaves the
+    # subcommand's default
+    config = harness.RunConfig(scenario=scenario or args.name, **{**defaults, **flags, **payload})
     unset = {name: value for name, value in defaults.items() if getattr(config, name) is None}
     return replace(config, **{**unset, **flags})
 

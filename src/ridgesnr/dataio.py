@@ -29,9 +29,18 @@ __all__ = [
 
 
 def format_float(x: float) -> str:
-    """12-significant-digit text form (nan, inf, -inf as such); round-trips
-    aggregates within rounding."""
+    """12-significant-digit text form (nan, inf, -inf as such) of a run CSV's cells;
+    round-trips aggregates within rounding."""
     return f"{x:.12g}"
+
+
+def _exact(x: float) -> str:
+    """Shortest text that reads back as the same float64 (nan, inf, -inf as such)."""
+    return repr(float(x))
+
+
+def _exact_row(values) -> str:
+    return ",".join(map(_exact, values))
 
 
 def _parse_row(line: str, lineno: int, path: str) -> list[float]:
@@ -122,18 +131,18 @@ def read_correlation(path: str | Path) -> CorrelationSpectrum:
 
 
 def write_matrix(path: str | Path, matrix: np.ndarray) -> None:
-    lines = [",".join(format_float(v) for v in row) for row in np.atleast_2d(matrix)]
+    lines = [_exact_row(row) for row in np.atleast_2d(matrix)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_vector(path: str | Path, vector: np.ndarray) -> None:
-    Path(path).write_text("\n".join(format_float(v) for v in vector) + "\n")
+    Path(path).write_text("\n".join(map(_exact, vector)) + "\n")
 
 
 def write_correlation(path: str | Path, spectrum: CorrelationSpectrum) -> None:
     """Diagonal spectra use the ``diag:`` shorthand; others are written dense."""
     if spectrum.diagonal:
-        payload = "diag:" + ",".join(format_float(v) for v in spectrum.eigenvalues)
+        payload = "diag:" + _exact_row(spectrum.eigenvalues)
         Path(path).write_text(payload + "\n")
     else:
         write_matrix(path, spectrum.matrix())
@@ -167,6 +176,10 @@ def dump_model(directory: str | Path, model: LinearModel, lambdas,
                estimate: SnrEstimate | None = None) -> dict:
     """Write y.csv, wbar.csv, psi.csv (and the grid/estimate) into a directory.
 
+    The model files and the grid hold each float as the shortest text that reads back as
+    it, so :func:`load_model` reads back the same y, Wbar and Psi eigenvalues (a dense Psi
+    is written as its recomposed matrix, whose eigenvalues read back within rounding).
+
     Returns the paths written, keyed by role.
     """
     directory = Path(directory)
@@ -180,7 +193,7 @@ def dump_model(directory: str | Path, model: LinearModel, lambdas,
     write_vector(paths["y"], model.y)
     write_matrix(paths["wbar"], model.raw_design)
     write_correlation(paths["psi"], model.spectrum)
-    Path(paths["lambdas"]).write_text(",".join(format_float(v) for v in lambdas) + "\n")
+    Path(paths["lambdas"]).write_text(_exact_row(lambdas) + "\n")
     if estimate is not None:
         paths["estimate"] = directory / "estimate.json"
         text = json.dumps(_estimate_json(estimate), indent=2, allow_nan=False)

@@ -131,6 +131,11 @@ class SnrEstimate:
     is zero (with a positive signal estimate), 0 when the signal estimate is zero,
     and nan when both are zero; ``degenerate`` is True in exactly those cases.
     ``snr_db`` is 10 log10 of the ratio, -inf for a zero ratio.
+
+    The diagnostics are the proposed method's (:meth:`EstimatorPlan.estimate`):
+    ``fit_residual_norm`` is the norm of its 2-variable fit residual and
+    ``fixed_point_iters`` its fixed-point step counts; :func:`ml_baseline` leaves
+    both at their defaults.
     """
 
     sigma_x2_hat: float
@@ -347,5 +352,4 @@ def ml_baseline(model: LinearModel, true_sigma_x2: float) -> SnrEstimate:
     if true_sigma_x2 < 0:
         raise ValueError("true signal variance must be nonnegative")
     resid = ridge_solve(model, LS_EPSILON).residual
-    return SnrEstimate(float(true_sigma_x2), float(resid @ resid) / model.m,
-                       fit_residual_norm=float(np.linalg.norm(resid)))
+    return SnrEstimate(float(true_sigma_x2), float(resid @ resid) / model.m)

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["RidgeSnrError", "DimensionError", "DefinitenessError", "ConvergenceError",
+           "DataFormatError"]
+
 
 class RidgeSnrError(Exception):
     """Base class for all errors raised by this package."""

@@ -126,7 +126,8 @@ class RunConfig:
     ``trials`` (>= 1), ``master_seed`` (>= 0) and ``parallelism`` (None or >= 1) are integers
     (numpy's too, never bools), stored as int; ``lambda_grid`` and ``snr_points_db`` (reals) and
     ``dims`` ((M, K) integer pairs >= 0) are None or sequences, stored as tuples of floats or int
-    pairs (empty: None); ``output_path`` is None, a str or an os.PathLike; ``dump_trials`` a bool.
+    pairs (empty: None); ``output_path`` is None, a str or an os.PathLike; ``dump_trials`` a bool,
+    True only with an ``output_path``, as the per-trial CSV is written next to it.
     """
 
     scenario: str | ScenarioDefinition = "a"
@@ -146,6 +147,9 @@ class RunConfig:
                 object.__setattr__(self, name, rule(value))
             except (TypeError, OverflowError) as exc:  # the wrong kind of value
                 raise ValueError(f"{name!r} = {value!r}: {exc}") from None
+        if self.dump_trials and not self.output_path:
+            raise ValueError("dump_trials needs an output_path: the per-trial CSV is written "
+                             "next to it")
 
     def resolve_scenario(self) -> ScenarioDefinition:
         if isinstance(self.scenario, ScenarioDefinition):

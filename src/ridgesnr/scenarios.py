@@ -27,7 +27,6 @@ __all__ = [
     "sample_truth",
     "synthesize",
     "scenario_catalog",
-    "SCENARIO_NAMES",
 ]
 
 CORRELATION_KINDS = ("identity", "diag_uniform", "bessel", "exponential")

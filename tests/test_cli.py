@@ -234,8 +234,9 @@ class TestDataIO:
 
 class TestCliEstimate:
     def test_roundtrip_matches_dumped_estimate(self, tmp_path, capsys):
-        # scenario a writes psi.csv as a diag: row; b's Bessel Psi is dense and written in full
-        for name in ("a", "b"):
+        # scenario a writes psi.csv as a diag: row and reads back bit for bit; b's Bessel Psi
+        # is dense, written in full, and its eigenvalues read back within rounding
+        for name, rel in (("a", 0.0), ("b", 1e-12)):
             dumped_model = dump_scenario(tmp_path / name, name)
             grid = (dumped_model / "lambdas.csv").read_text().strip()
             code = cli.main([
@@ -245,9 +246,8 @@ class TestCliEstimate:
             assert code == 0
             reported = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
             recorded = json.loads((dumped_model / "estimate.json").read_text())
-            assert reported["snr_db"] == pytest.approx(recorded["snr_db"], abs=1e-6)
-            assert reported["sigma_x2_hat"] == pytest.approx(recorded["sigma_x2_hat"], rel=1e-8)
-            assert reported["sigma_n2_hat"] == pytest.approx(recorded["sigma_n2_hat"], rel=1e-8)
+            for field in ("snr_db", "sigma_x2_hat", "sigma_n2_hat"):
+                assert reported[field] == pytest.approx(recorded[field], rel=rel, abs=0.0)
 
     def test_missing_file_exits_config_error(self, tmp_path, capsys):
         code = cli.main([
@@ -519,9 +519,26 @@ class TestCliRuns:
         assert out.exists()
 
     def test_bad_parallelism_exits_config_error(self, capsys):
-        code = cli.main(["scenario", "a", "--trials", "2", "--snr-db", "10",
-                         "--parallelism", "zero"])
-        assert code == 2
+        for value in ("zero", "2.5"):
+            code = cli.main(["scenario", "a", "--trials", "2", "--snr-db", "10",
+                             "--parallelism", value])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: 'parallelism' = {value!r}: ")
+
+    def test_dump_trials_without_out_exits_config_error(self, capsys):
+        assert cli.main(["scenario", "a", "--trials", "2", "--snr-db", "10",
+                         "--dump-trials"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dump_trials" in captured.err and "output_path" in captured.err
+
+    # the config's dump_trials takes its output_path from --out
+    def test_config_dump_trials_writes_next_to_the_out_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trials": 2, "snr_points_db": [10], "dump_trials": True}))
+        out = tmp_path / "x.csv"
+        assert cli.main(["scenario", "a", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists() and (tmp_path / "x_trials.csv").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_penalty_exits_config_error(self, capsys, bad):

@@ -654,6 +654,9 @@ class TestMlBaseline:
             values.append(ml_baseline(model, 1.0).sigma_n2_hat)
         expected = (m - k) / m * sigma_n2
         assert np.mean(values) == pytest.approx(expected, rel=0.05)
+        # the diagnostics are the proposed method's; the baseline leaves them at their defaults
+        estimate = ml_baseline(model, 1.0)
+        assert (estimate.fit_residual_norm, estimate.fixed_point_iters) == (0.0, ())
 
     def test_wide_system_collapses(self):
         spec = build_correlation(CorrelationSpec(kind="diag_uniform", dim=30, seed=1))
