@@ -29,9 +29,9 @@ def main():
     sigma_n2 = 0.2
     sigma_x2 = sigma_n2 * 10 ** (SNR_DB / 10)
     rng = derive_rng(SEED, 0)
-    truth = sample_truth(DistributionSpec.gaussian(sigma_x2),
+    x0, n = sample_truth(DistributionSpec.gaussian(sigma_x2),
                          DistributionSpec.gaussian(sigma_n2), M, K, rng)
-    model = synthesize(spectrum, truth, rng)
+    model = synthesize(spectrum, x0, n, rng)
 
     print(f"world: exponential correlation (rho 0.4), {M}x{K}, "
           f"true SNR {SNR_DB:.1f} dB (sigma_x^2={sigma_x2:.3f}, sigma_n^2={sigma_n2:.3f})\n")
@@ -48,7 +48,7 @@ def main():
     print(f"fit residual   = {estimate.fit_residual_norm:.2e}, "
           f"fixed-point iterations per penalty: {list(estimate.fixed_point_iters)}")
 
-    baseline = ml_baseline(model, truth.sigma_x2)
+    baseline = ml_baseline(model, sigma_x2)
     print(f"\nML baseline (knows sigma_x^2 exactly): {baseline.snr_db:+.2f} dB; "
           f"its residual normalizer M biases the noise estimate low for M > K.")
 

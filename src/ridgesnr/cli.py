@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -28,6 +29,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# Most points an --snr-db a:b:step range may hold; a catalog sweep has 13.
+MAX_SNR_POINTS = 10_000
+
 
 def _parse_lambdas(text: str) -> tuple[float, ...]:
     try:
@@ -40,21 +44,23 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
 
 
 def _parse_snr_range(text: str) -> tuple[float, ...]:
-    """Either 'a:b:step' (inclusive) or a comma-separated list of dB values."""
+    """Either 'a:b:step' or a comma-separated list of dB values. A range is a + i step for
+    i = 0, 1, ... while within 1e-9 steps of b, each rounded to 9 decimals; it needs finite
+    a <= b and step > 0, and holds at most MAX_SNR_POINTS points."""
     try:
         if ":" in text:
             a, b, step = (float(v) for v in text.split(":"))
-            if step <= 0 or b < a:
+            if not (all(map(math.isfinite, (a, b, step))) and step > 0 and b >= a):
                 raise ValueError
-            points = []
-            v = a
-            while v <= b + 1e-9:
-                points.append(round(v, 9))
-                v += step
-            return tuple(points)
+            count = math.floor(min((b - a) / step + 1e-9, MAX_SNR_POINTS)) + 1  # b - a may be inf
+            if count > MAX_SNR_POINTS:
+                raise ValueError
+            return tuple(round(a + i * step, 9) for i in range(count))
         return tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad SNR range: {text!r} (want a:b:step or v1,v2,...)")
+        raise argparse.ArgumentTypeError(f"bad SNR range: {text!r} (want a:b:step with finite "
+                                         f"a <= b and step > 0, at most {MAX_SNR_POINTS} "
+                                         f"points, or v1,v2,...)")
 
 
 def _parse_dims(text: str) -> tuple[tuple[int, int], ...]:

@@ -243,13 +243,15 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
 
     Solved exactly: the optimum of this convex QP zeroes some subset of the
     variables and solves unconstrained least squares over the rest. A
-    nonnegative unconstrained solution is therefore the optimum and is returned
-    at once; otherwise keeping the feasible one of the other three candidates
-    (x only, n only, zero) with the smallest objective is exhaustive. Rank-deficient
-    subproblems fall back to the minimum-norm solution; the all-zero candidate
-    is always feasible, so the solver never fails. phi is first scaled by the power
-    of two 2^-e that brings max |phi| into [0.5, 1), and sigma and the residual
-    back by 2^e: exact in every flop, and no square of a cost near 1e200 overflows.
+    nonnegative unconstrained solution (``lstsq``'s minimum-norm one when Xi is
+    rank-deficient) is therefore the optimum and is returned at once. Otherwise the
+    optimum lies on the boundary: column j alone fits sigma_j = max(x_j . phi, 0) / |x_j|^2
+    and lowers the objective by (x_j . phi)^2 / |x_j|^2 when x_j . phi > 0, so the column
+    with the larger gain wins (column 0 on a tie), or zero when neither gains (as for a
+    zero column), and the solver never fails. phi and each column are first scaled by
+    the power of two that brings their largest magnitude into [0.5, 1), and sigma and the
+    residual back: exact in every flop, and no square of a cost or column near 1e200
+    overflows.
 
     Returns (sigma, residual_norm) with residual_norm = ||phi - Xi @ sigma||_2.
     """
@@ -269,17 +271,14 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
     phi = np.ldexp(phi, -exponent)
     sigma, *_ = np.linalg.lstsq(xi, phi, rcond=None)
     if not np.all(sigma >= 0):
-        best_obj = np.inf
-        for free in ([0], [1], []):
-            candidate = np.zeros(2)
-            if free:
-                sol, *_ = np.linalg.lstsq(xi[:, free], phi, rcond=None)
-                candidate[free] = sol
-            if np.any(candidate < 0):
-                continue
-            obj = 0.5 * np.sum((phi - xi @ candidate) ** 2)
-            if obj < best_obj:
-                best_obj, sigma = obj, candidate
+        sigma, best_gain = np.zeros(2), 0.0
+        for j, column in enumerate(xi.T):
+            shift = math.frexp(float(np.abs(column).max()))[1]
+            column = np.ldexp(column, -shift)
+            fit, norm2 = float(column @ phi), float(column @ column)
+            if fit > 0.0 and fit * fit / norm2 > best_gain:  # a zero column has fit 0
+                best_gain, sigma = fit * fit / norm2, np.zeros(2)
+                sigma[j] = math.ldexp(fit / norm2, -shift)
     residual = float(np.linalg.norm(phi - xi @ sigma))
     return np.ldexp(sigma, exponent), math.ldexp(residual, exponent)
 

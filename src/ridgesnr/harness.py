@@ -213,11 +213,10 @@ def _aggregate(snr_true_db: float, method: str, m: int, k: int,
     )
 
 
-def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key):
-    """One trial's (truth, model): (x0, n), then Wbar, from the stream for key."""
+def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key) -> LinearModel:
+    """One trial's model: (x0, n), then Wbar, from the stream for key."""
     rng = derive_rng(master_seed, *key)
-    truth = sample_truth(signal, noise, m, k, rng)
-    return truth, synthesize(spectrum, truth, rng)
+    return synthesize(spectrum, *sample_truth(signal, noise, m, k, rng), rng)
 
 
 def _run_trial(block, specs, snr_db: float, master_seed: int, key_prefix: tuple[int, ...],
@@ -232,12 +231,12 @@ def _run_trial(block, specs, snr_db: float, master_seed: int, key_prefix: tuple[
     spectrum, m, k, plan = block
     pair = [None, None]
     try:
-        truth, model = _draw_trial(spectrum, *specs, m, k, master_seed, (*key_prefix, trial))
+        model = _draw_trial(spectrum, *specs, m, k, master_seed, (*key_prefix, trial))
     except RidgeSnrError as exc:
         log.warning("trial %d at %.1f dB failed: %s", trial, snr_db, exc)
         return pair
     for col, method, args in ((0, plan.estimate if plan else None, (model,)),
-                              (1, ml_baseline, (model, truth.sigma_x2))):
+                              (1, ml_baseline, (model, specs[0].implied_variance))):
         if method is None:
             continue
         try:
@@ -335,7 +334,7 @@ def _first_trial(config: RunConfig) -> tuple[LinearModel, tuple[float, ...]]:
     specs = [definition.specs_at(snr_db)  # checks every point
              for snr_db in config.snr_points_db or definition.snr_points_db]
     spectrum = _correlation_for(definition, m, config.master_seed)
-    _, model = _draw_trial(spectrum, *specs[0], m, k, config.master_seed, (STREAM_TRIALS, 0, 0))
+    model = _draw_trial(spectrum, *specs[0], m, k, config.master_seed, (STREAM_TRIALS, 0, 0))
     return model, config.lambda_grid or definition.lambda_grid
 
 
@@ -386,8 +385,8 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
     def observations():
         for draw in range(config.trials):
             rng = derive_rng(config.master_seed, STREAM_THEOREM_DRAWS, draw)
-            truth = sample_truth(signal, noise, m, k, rng)
-            yield design @ truth.x0 + truth.n
+            x0, n = sample_truth(signal, noise, m, k, rng)
+            yield design @ x0 + n
 
     phi_sums = sum(costs.sum(axis=1) for costs in ridge_costs(design, observations(), grid))
     xi, _ = coefficients_grid(spectrum, m, k, grid)

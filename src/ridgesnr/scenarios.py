@@ -14,14 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import LinearModel, SnrEstimate
+from .estimator import LinearModel
 from .exceptions import DimensionError
 from .rmt import CorrelationSpectrum
 
 __all__ = [
     "CorrelationSpec",
     "DistributionSpec",
-    "GroundTruth",
     "ScenarioDefinition",
     "build_correlation",
     "sample_truth",
@@ -106,24 +105,6 @@ class DistributionSpec:
         return rng.standard_t(self.parameter, size)
 
 
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
-    """One draw of (x0, n) together with the variances that generated it."""
-
-    x0: np.ndarray
-    n: np.ndarray
-    sigma_x2: float
-    sigma_n2: float
-
-    @property
-    def snr_linear(self) -> float:
-        return SnrEstimate(self.sigma_x2, self.sigma_n2).snr_linear
-
-    @property
-    def snr_db(self) -> float:
-        return SnrEstimate(self.sigma_x2, self.sigma_n2).snr_db
-
-
 def build_correlation(spec: CorrelationSpec) -> CorrelationSpectrum:
     """Materialize the correlation model as a spectrum.
 
@@ -156,27 +137,21 @@ def build_correlation(spec: CorrelationSpec) -> CorrelationSpectrum:
     return CorrelationSpectrum.from_matrix(psi)
 
 
-def sample_truth(signal: DistributionSpec, noise: DistributionSpec,
-                 m: int, k: int, rng: np.random.Generator) -> GroundTruth:
-    """Draw x0 (length k) and n (length m) iid from their distributions."""
-    x0 = signal.sample(rng, k)
-    n = noise.sample(rng, m)
-    return GroundTruth(x0=x0, n=n,
-                       sigma_x2=signal.implied_variance,
-                       sigma_n2=noise.implied_variance)
+def sample_truth(signal: DistributionSpec, noise: DistributionSpec, m: int, k: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw x0 (length k), then n (length m), iid from their distributions."""
+    return signal.sample(rng, k), noise.sample(rng, m)
 
 
-def synthesize(spectrum: CorrelationSpectrum, truth: GroundTruth,
+def synthesize(spectrum: CorrelationSpectrum, x0: np.ndarray, n: np.ndarray,
                rng: np.random.Generator) -> LinearModel:
     """Draw Wbar iid standard normal and form the observed model."""
     m = spectrum.dim
-    k = truth.x0.size
-    if truth.n.size != m:
-        raise DimensionError(f"noise length {truth.n.size} != correlation dim {m}")
-    wbar = rng.standard_normal((m, k))
+    if n.size != m:
+        raise DimensionError(f"noise length {n.size} != correlation dim {m}")
+    wbar = rng.standard_normal((m, x0.size))
     design = spectrum.sqrt_apply(wbar)
-    y = design @ truth.x0 + truth.n
-    return LinearModel(design=design, raw_design=wbar, spectrum=spectrum, y=y)
+    return LinearModel(design=design, raw_design=wbar, spectrum=spectrum, y=design @ x0 + n)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import argparse
 import json
 import re
+import signal
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -766,6 +768,63 @@ def test_cli_input_checks(tmp_path, capsys, argv, message):
     config.write_text("[1, 2]")
     assert _exit_code([arg.format(config=config) for arg in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# a non-finite end or step, and a range of more than MAX_SNR_POINTS points (0:1e20:1 could not
+# even be listed, as v + 1 == v past 2^53), exit 2 before any trial and without looping
+@pytest.mark.parametrize("text", ["nan:1:1", "0:nan:1", "0:1:nan", "0:inf:1", "-inf:0:1",
+                                  "0:1:inf", "0:1e20:1", "0:10000:1"])
+def test_bad_snr_range_exits_config_error_at_once(capsys, text):
+    with _deadline(1.0):
+        assert _exit_code(["scenario", "a", "--trials", "2", f"--snr-db={text}"]) == 2
+    assert f"bad SNR range: {text!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, points", [
+    ("-4:20:2", tuple(float(v) for v in range(-4, 21, 2))),
+    ("0:4:2", (0.0, 2.0, 4.0)),
+    ("0:1:0.1", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)),
+    ("0:0.3:0.1", (0.0, 0.1, 0.2, 0.3)),
+    ("5:5:1", (5.0,)),
+])
+def test_snr_range_points(text, points):
+    assert cli._parse_snr_range(text) == points
+
+
+def test_snr_range_holds_at_most_max_points():
+    assert len(cli._parse_snr_range(f"0:{cli.MAX_SNR_POINTS - 1}:1")) == cli.MAX_SNR_POINTS
+
+
+def _accumulated_range(a: float, b: float, step: float) -> tuple[float, ...]:
+    """The range as a loop that adds step until it passes b + 1e-9."""
+    points, v = [], a
+    while v <= b + 1e-9:
+        points.append(round(v, 9))
+        v += step
+    return tuple(points)
+
+
+@pytest.mark.parametrize("step", [0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 2.5])
+def test_snr_range_count_matches_the_accumulating_loop(step):
+    ends = [v / 10 for v in range(-60, 61, 3)]
+    for i, a in enumerate(ends):
+        for b in ends[i:]:
+            assert cli._parse_snr_range(f"{a}:{b}:{step}") == _accumulated_range(a, b, step)
 
 
 @pytest.mark.parametrize("name, text, reader, message", [

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -348,8 +349,8 @@ class TestAssembleSystem:
         sig = DistributionSpec.gaussian(1.0)
         noi = DistributionSpec.gaussian(0.1)
         rng = derive_rng(33, 0)
-        truth = sample_truth(sig, noi, 80, 40, rng)
-        model = synthesize(spec, truth, rng)
+        x0, n = sample_truth(sig, noi, 80, 40, rng)
+        model = synthesize(spec, x0, n, rng)
         grid = [1e-3, 2e-3]
         plan = plan_for(model, grid)
         exact = np.linalg.solve(plan.xi, plan.costs(model))
@@ -368,7 +369,7 @@ class TestEstimatorPlan:
         plan = EstimatorPlan(spec, 40, 20, grid)
         for trial in range(5):
             rng = derive_rng(41, trial)
-            model = synthesize(spec, sample_truth(sig, noi, 40, 20, rng), rng)
+            model = synthesize(spec, *sample_truth(sig, noi, 40, 20, rng), rng)
             assert plan.estimate(model) == estimate_snr(model, grid)
             assert np.array_equal(plan.costs(model),
                                   [ridge_solve(model, lam).phi for lam in grid])
@@ -473,6 +474,51 @@ class TestNnls2Var:
         sigma, resid = nnls_2var(np.eye(2), [1.0, -1.0])
         assert sigma == pytest.approx([1.0, 0.0], abs=1e-12)
         assert resid == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_column_is_skipped(self):
+        phi = np.array([-1.0, -2.0, -3.0])
+        for xi in (np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+                   np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sigma, resid = nnls_2var(xi, phi)
+            assert sigma.tolist() == [0.0, 0.0]
+            assert resid == pytest.approx(math.sqrt(14.0), rel=1e-15)
+
+    def test_columns_near_1e200_clamp_without_overflow(self):
+        # the unconstrained fit is (1, -0.5) * 1e-200; column 0 alone gains more
+        xi = 1e200 * np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
+        phi = np.array([0.5, 1.5, 2.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma, resid = nnls_2var(xi, phi)
+        assert sigma[0] == pytest.approx(11.0 / 14.0 * 1e-200, rel=1e-14)
+        assert sigma[1] == 0.0
+        assert resid == pytest.approx(math.sqrt(8.75 - 121.0 / 14.0), rel=1e-12)
+
+    def test_boundary_matches_the_lstsq_candidate_loop(self):
+        # reference: least squares on each column alone, then the feasible candidate (zero
+        # last) with the smallest objective; the closed form dots in another order, so the
+        # support must match and the objective agree to rounding of |phi|^2
+        rng = np.random.default_rng(12)
+        clamped = 0
+        for _ in range(500):
+            xi = rng.standard_normal((int(rng.integers(2, 7)), 2)) * np.exp(rng.uniform(-5, 5, 2))
+            phi = rng.standard_normal(xi.shape[0])
+            if np.all(np.linalg.lstsq(xi, phi, rcond=None)[0] >= 0):
+                continue
+            clamped += 1
+            best, reference = np.inf, None
+            for free in ([0], [1], []):
+                candidate = np.zeros(2)
+                if free:
+                    candidate[free] = np.linalg.lstsq(xi[:, free], phi, rcond=None)[0]
+                if np.all(candidate >= 0) and objective(xi, phi, candidate) < best:
+                    best, reference = objective(xi, phi, candidate), candidate
+            sigma, _ = nnls_2var(xi, phi)
+            assert (sigma > 0).tolist() == (reference > 0).tolist()
+            assert objective(xi, phi, sigma) == pytest.approx(best, abs=1e-13 * float(phi @ phi))
+        assert clamped > 100
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(11)
@@ -603,8 +649,8 @@ class TestEstimateSnr:
         sx, sn = [], []
         for trial in range(200):
             rng = derive_rng(123, 0, 0, trial)
-            truth = sample_truth(sig, noi, 120, 40, rng)
-            model = synthesize(spec, truth, rng)
+            x0, n = sample_truth(sig, noi, 120, 40, rng)
+            model = synthesize(spec, x0, n, rng)
             est = estimate_snr(model, grid)
             sx.append(est.sigma_x2_hat)
             sn.append(est.sigma_n2_hat)
@@ -623,8 +669,8 @@ class TestEstimateSnr:
         errors, sx, sn = [], [], []
         for trial in range(500):
             rng = derive_rng(0, 0, 7, trial)
-            truth = sample_truth(sig, noi, 80, 40, rng)
-            model = synthesize(spec, truth, rng)
+            x0, n = sample_truth(sig, noi, 80, 40, rng)
+            model = synthesize(spec, x0, n, rng)
             est = estimate_snr(model, grid)
             if not est.degenerate:
                 errors.append((est.snr_linear - 10.0) / 10.0)
@@ -649,8 +695,8 @@ class TestMlBaseline:
         values = []
         for trial in range(200):
             rng = derive_rng(77, 0, 0, trial)
-            truth = sample_truth(sig, noi, m, k, rng)
-            model = synthesize(spec, truth, rng)
+            x0, n = sample_truth(sig, noi, m, k, rng)
+            model = synthesize(spec, x0, n, rng)
             values.append(ml_baseline(model, 1.0).sigma_n2_hat)
         expected = (m - k) / m * sigma_n2
         assert np.mean(values) == pytest.approx(expected, rel=0.05)
@@ -663,10 +709,10 @@ class TestMlBaseline:
         sig = DistributionSpec.gaussian(1.0)
         noi = DistributionSpec.gaussian(0.1)
         rng = derive_rng(78, 0)
-        truth = sample_truth(sig, noi, 30, 35, rng)
-        model = synthesize(spec, truth, rng)
-        ml = ml_baseline(model, truth.sigma_x2)
-        assert ml.sigma_n2_hat <= 1e-12 * truth.sigma_n2
+        x0, n = sample_truth(sig, noi, 30, 35, rng)
+        model = synthesize(spec, x0, n, rng)
+        ml = ml_baseline(model, sig.implied_variance)
+        assert ml.sigma_n2_hat <= 1e-12 * noi.implied_variance
         assert ml.snr_linear > 1e10  # wildly overestimated
 
     def test_exact_fit_noise_estimate_is_numerically_zero(self):

@@ -8,6 +8,7 @@ import pytest
 
 from ridgesnr import (
     CorrelationSpec,
+    CorrelationSpectrum,
     DistributionSpec,
     RunConfig,
     ScenarioDefinition,
@@ -344,10 +345,10 @@ class TestVerifyTheorem:
         design = spectrum.sqrt_apply(wbar)
         sums = np.zeros(len(defn.lambda_grid))
         for draw in range(config.trials):
-            truth = sample_truth(defn.signal, defn.noise, m, k,
+            x0, n = sample_truth(defn.signal, defn.noise, m, k,
                                  derive_rng(config.master_seed, STREAM_THEOREM_DRAWS, draw))
             model = estimator.LinearModel(design=design, raw_design=wbar, spectrum=spectrum,
-                                          y=design @ truth.x0 + truth.n)
+                                          y=design @ x0 + n)
             sums += [estimator.ridge_solve(model, lam).phi for lam in defn.lambda_grid]
         np.testing.assert_allclose([row[1] for row in rows], sums / config.trials,
                                    rtol=1e-10, atol=0)
@@ -372,7 +373,7 @@ class TestVerifyTheorem:
         spectrum = _correlation_for(definition, m, seed)
         design = spectrum.sqrt_apply(derive_rng(seed, STREAM_FIXED_DESIGN).standard_normal((m, k)))
         signal, noise = definition.specs_at(definition.snr_points_db[0])
-        ys = np.array([design @ truth.x0 + truth.n for truth in (
+        ys = np.array([design @ x0 + n for x0, n in (
             sample_truth(signal, noise, m, k, derive_rng(seed, STREAM_THEOREM_DRAWS, draw))
             for draw in range(config.trials))]).T
         u, s, _ = np.linalg.svd(design, full_matrices=False)
@@ -393,8 +394,8 @@ class TestVerifyTheorem:
 
     def test_non_finite_draw_raises_dimension_error(self, monkeypatch):
         def nan_noise(*args):
-            truth = sample_truth(*args)
-            return replace(truth, n=np.full_like(truth.n, np.nan))
+            x0, n = sample_truth(*args)
+            return x0, np.full_like(n, np.nan)
 
         monkeypatch.setattr("ridgesnr.harness.sample_truth", nan_noise)
         with pytest.raises(DimensionError, match="non-finite"):
@@ -425,12 +426,34 @@ def test_proposed_ties_the_ls_moment_yardstick(name):
     plan = estimator.EstimatorPlan(spectrum, m, k, definition.lambda_grid)
     for point, snr_db in enumerate((-4.0, 12.0)):
         specs = definition.specs_at(snr_db)
-        models = [_draw_trial(spectrum, *specs, m, k, 0, (STREAM_TRIALS, point, trial))[1]
+        models = [_draw_trial(spectrum, *specs, m, k, 0, (STREAM_TRIALS, point, trial))
                   for trial in range(400)]
         proposed = _aggregate(snr_db, "proposed", m, k, [plan.estimate(mo) for mo in models])
         pair = _aggregate(snr_db, "ls", m, k, estimates(*map(ls_moment, models)))
         assert abs(proposed.nmse_db - pair.nmse_db) <= 0.2, (snr_db, proposed, pair)
         assert abs(proposed.bias_db - pair.bias_db) <= 0.1, (snr_db, proposed, pair)
+
+
+# The yardstick ties on the catalog's small-penalty grid, where Psi barely enters. On a wide
+# grid Psi matters: the scenario-c world at +12 dB reads a median dB error near 0 under the
+# true Psi and about -2 dB under 2 Psi (about -0.7 under mean(q) I, which is not asserted).
+def test_a_doubled_psi_moves_the_estimate_on_a_wide_grid():
+    definition = replace(scenario_catalog("c", seed=0), lambda_grid=(0.01, 0.1, 1.0, 10.0))
+    m, k = definition.dims
+    spectrum = _correlation_for(definition, m, 0)
+    doubled = CorrelationSpectrum(2.0 * spectrum.eigenvalues, spectrum.basis)
+    true_plan, wrong_plan = (estimator.EstimatorPlan(psi, m, k, definition.lambda_grid)
+                             for psi in (spectrum, doubled))
+    point = definition.snr_points_db.index(12.0)
+    true_db, wrong_db = [], []
+    for trial in range(300):
+        model = _draw_trial(spectrum, *definition.specs_at(12.0), m, k, 0,
+                            (STREAM_TRIALS, point, trial))
+        true_db.append(true_plan.estimate(model).snr_db)
+        # the true design and y, so the costs are the same; only Xi sees 2 Psi
+        wrong_db.append(wrong_plan.estimate(replace(model, spectrum=doubled)).snr_db)
+    assert abs(np.median(true_db) - 12.0) <= 0.5
+    assert np.median(wrong_db) - 12.0 <= -1.0
 
 
 class TestDimSweep:

@@ -26,7 +26,7 @@ def test_public_api_is_pinned():
     assert sorted(ridgesnr.__all__) == [
         "ConvergenceError", "CorrelationSpec", "CorrelationSpectrum", "DataFormatError",
         "DefinitenessError", "DimensionError", "DistributionSpec", "EstimatorPlan",
-        "GroundTruth", "LinearModel", "MetricsRow", "RidgeSnrError", "RidgeSolution",
+        "LinearModel", "MetricsRow", "RidgeSnrError", "RidgeSolution",
         "RunConfig", "ScenarioDefinition", "SnrEstimate", "__version__", "alpha",
         "build_correlation", "coefficients_grid", "derive_rng", "dim_sweep",
         "estimate_from_files", "estimate_snr", "lambda_sensitivity", "ml_baseline",

@@ -113,36 +113,29 @@ class TestDistributionSpec:
 
 
 class TestSampleTruth:
-    def test_shapes_and_variances(self):
-        truth = sample_truth(DistributionSpec.gaussian(2.0), DistributionSpec.gaussian(0.5),
-                             m=30, k=10, rng=np.random.default_rng(1))
-        assert truth.x0.shape == (10,)
-        assert truth.n.shape == (30,)
-        assert truth.sigma_x2 == 2.0
-        assert truth.sigma_n2 == 0.5
-        assert truth.snr_db == pytest.approx(10 * math.log10(4.0))
-
-    def test_zero_noise_flags_infinite_snr(self):
-        truth = sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(0.0),
-                             m=4, k=2, rng=np.random.default_rng(2))
-        assert truth.snr_linear == math.inf
+    def test_draws_x0_then_n_from_one_stream(self):
+        signal, noise = DistributionSpec.gaussian(2.0), DistributionSpec.uniform(0.5)
+        x0, n = sample_truth(signal, noise, m=30, k=10, rng=np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        assert np.array_equal(x0, signal.sample(rng, 10))
+        assert np.array_equal(n, noise.sample(rng, 30))
 
 
 class TestSynthesize:
     def test_identity_correlation_keeps_raw_design(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(12))
-        truth = sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(0.1),
+        x0, n = sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(0.1),
                              m=12, k=5, rng=np.random.default_rng(3))
-        model = synthesize(spec, truth, np.random.default_rng(4))
+        model = synthesize(spec, x0, n, np.random.default_rng(4))
         assert np.array_equal(model.design, model.raw_design)
 
     def test_vanishing_correlation_leaves_noise_only(self):
         # an all-zero spectrum is rejected by construction, so take the limit
         spec = CorrelationSpectrum.from_diagonal(np.full(12, 1e-30))
-        truth = sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(0.1),
+        x0, n = sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(0.1),
                              m=12, k=5, rng=np.random.default_rng(5))
-        model = synthesize(spec, truth, np.random.default_rng(6))
-        assert np.linalg.norm(model.y - truth.n) <= 1e-10 * np.linalg.norm(truth.n)
+        model = synthesize(spec, x0, n, np.random.default_rng(6))
+        assert np.linalg.norm(model.y - n) <= 1e-10 * np.linalg.norm(n)
 
     def test_zero_trace_spectrum_rejected(self):
         with pytest.raises(Exception):
@@ -155,8 +148,7 @@ class TestSynthesize:
         y = []
         for _ in range(2):
             rng = derive_rng(42, 0, 0, 3)
-            truth = sample_truth(sig, noi, 12, 5, rng)
-            y.append(synthesize(spec, truth, rng).y)
+            y.append(synthesize(spec, *sample_truth(sig, noi, 12, 5, rng), rng).y)
         assert np.array_equal(y[0], y[1])
 
     def test_signal_energy_moment(self):
@@ -171,16 +163,16 @@ class TestSynthesize:
         draws = 500
         for trial in range(draws):
             trng = derive_rng(55, 0, 0, trial)
-            truth = sample_truth(sig, noi, 40, k, trng)
-            model = synthesize(spec, truth, trng)
+            x0, n = sample_truth(sig, noi, 40, k, trng)
+            model = synthesize(spec, x0, n, trng)
             acc += float(model.y @ model.y) / k
         assert acc / draws == pytest.approx(0.8 * q.sum(), rel=0.05)
 
     def test_raw_design_second_moment(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(100))
-        truth = sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(1.0),
+        x0, n = sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(1.0),
                              m=100, k=1000, rng=np.random.default_rng(8))
-        model = synthesize(spec, truth, np.random.default_rng(9))
+        model = synthesize(spec, x0, n, np.random.default_rng(9))
         assert np.mean(model.raw_design ** 2) == pytest.approx(1.0, rel=0.02)
 
 
@@ -266,8 +258,8 @@ class TestCatalog:
     (lambda: DistributionSpec("cauchy", 1.0), ValueError, "unknown distribution kind 'cauchy'"),
     (lambda: DistributionSpec.gaussian(-1.0), ValueError, "scale parameter must be nonnegative"),
     (lambda: synthesize(CorrelationSpectrum.from_diagonal(np.ones(4)),
-                        sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(1.0),
-                                     5, 3, np.random.default_rng(0)),
+                        *sample_truth(DistributionSpec.gaussian(1.0), DistributionSpec.gaussian(1.0),
+                                      5, 3, np.random.default_rng(0)),
                         np.random.default_rng(1)),
      DimensionError, "noise length 5 != correlation dim 4"),
     (lambda: replace(scenario_catalog("a"), swept="Signal"), ValueError,
