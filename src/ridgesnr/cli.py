@@ -8,7 +8,7 @@ Each RunConfig field has its flag in ``_RUN_FIELDS``, and each run subcommand it
 in ``_RUNS``; a run subcommand reads every field but those ``harness.UNREAD`` lists for
 its run. A flag left unset falls back to the config key of the field's name, then to the
 subcommand's own default, then to RunConfig's. An unread config key, a value RunConfig
-rejects, or an SNR point that ``specs_at`` rejects exits 2.
+rejects, or an SNR point that ``specs_at`` or ``harness._resolve`` rejects exits 2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 import sys
 from dataclasses import replace
 
-from . import dataio, harness
+from . import dataio, estimator, harness
 from .exceptions import ConvergenceError, DataFormatError, DefinitenessError, RidgeSnrError
 from .scenarios import SCENARIO_NAMES, scenario_catalog
 
@@ -184,21 +184,17 @@ def _print_estimate(estimate, as_json: bool) -> None:
         print(json.dumps(dataio._estimate_json(estimate, "fit_residual_norm", "fixed_point_iters"),
                          allow_nan=False))
         return
-    print(f"sigma_x2_hat      = {estimate.sigma_x2_hat:.10g}")
-    print(f"sigma_n2_hat      = {estimate.sigma_n2_hat:.10g}")
-    print(f"snr_linear        = {estimate.snr_linear:.10g}")
-    print(f"snr_db            = {estimate.snr_db:.10g}")
-    print(f"degenerate        = {estimate.degenerate}")
+    for name in estimator.REPORTED:
+        value = getattr(estimate, name)
+        print(f"{name:<17} = {value if isinstance(value, bool) else format(value, '.10g')}")
     print(f"fit residual norm = {estimate.fit_residual_norm:.4g}")
     print(f"fixed-point iters = {list(estimate.fixed_point_iters)}")
 
 
 def _dump_first_trial(config: harness.RunConfig, directory: str) -> None:
     """Materialize trial 0 of the first sweep point and write its model files."""
-    from .estimator import estimate_snr
-
     model, grid = harness._first_trial(config)
-    paths = dataio.dump_model(directory, model, grid, estimate_snr(model, grid))
+    paths = dataio.dump_model(directory, model, grid, estimator.estimate_snr(model, grid))
     print(f"dumped model files: {json.dumps(paths)}")
 
 

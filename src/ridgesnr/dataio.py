@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import LinearModel, SnrEstimate, _check_dims
+from .estimator import REPORTED, LinearModel, SnrEstimate, _check_dims
 from .exceptions import DataFormatError, DimensionError
 from .rmt import CorrelationSpectrum
 
@@ -166,7 +166,7 @@ def load_model(y_path: str | Path, wbar_path: str | Path,
 def _estimate_json(estimate: SnrEstimate, *extra: str) -> dict:
     """The fields of an estimate in ``estimate.json``, then the ``extra`` ones; a nan or inf is
     null, as strict JSON has neither (``degenerate`` says why)."""
-    names = ("sigma_x2_hat", "sigma_n2_hat", "snr_linear", "snr_db", "degenerate", *extra)
+    names = (*REPORTED, *extra)
     values = (getattr(estimate, name) for name in names)
     return {name: None if isinstance(v, float) and not np.isfinite(v) else v
             for name, v in zip(names, values)}

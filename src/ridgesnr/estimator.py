@@ -41,6 +41,9 @@ __all__ = [
 MIN_ASPECT = 0.01
 MAX_ASPECT = 100.0
 
+# What an estimate reports, in the order `estimate`'s text and JSON and the per-trial CSV list it.
+REPORTED = ("sigma_x2_hat", "sigma_n2_hat", "snr_linear", "snr_db", "degenerate")
+
 # Stand-in for lambda = 0 in the least-squares baseline, small enough that the
 # ridge solution is the (minimum-norm) LS solution to working precision.
 LS_EPSILON = 1e-10

@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .estimator import (EstimatorPlan, LinearModel, SnrEstimate, _check_dims, estimate_snr,
-                        ml_baseline, ridge_costs)
+from .estimator import (MAX_ASPECT, MIN_ASPECT, REPORTED, EstimatorPlan, LinearModel,
+                        SnrEstimate, _check_dims, estimate_snr, ml_baseline, ridge_costs)
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients_grid
 from .scenarios import (
@@ -92,7 +92,10 @@ def _integer(value, least: int, why: str) -> int:
 
 def _pair(m, k) -> tuple[int, int]:
     why = f"dims {m}x{k} has a negative dimension"
-    return _integer(m, 0, why), _integer(k, 0, why)
+    m, k = _integer(m, 0, why), _integer(k, 0, why)
+    if not (m and MIN_ASPECT <= k / m <= MAX_ASPECT):  # the estimator takes no other pair
+        raise ValueError(f"dims {m}x{k} needs M, K >= 1 and K/M in [{MIN_ASPECT}, {MAX_ASPECT}]")
+    return m, k
 
 
 def _each(rule):  # a sequence is stored as a tuple, and an empty one as None
@@ -117,17 +120,16 @@ class RunConfig:
     """Configuration of one harness run.
 
     ``parallelism`` of None means auto (up to 8 workers); results do not
-    depend on it. ``lambda_grid`` / ``snr_points_db`` of None fall back to the
+    depend on it. ``lambda_grid`` / ``snr_points_db`` / ``dims`` of None fall back to the
     scenario catalog entry. For verification runs ``trials`` is the number of
-    signal/noise draws. A run checks its SNR points with
-    ``ScenarioDefinition.specs_at`` before its first trial, and rejects a field it
-    does not read (its ``UNREAD`` entry) that is set away from its default.
+    signal/noise draws. Before its first trial a run resolves its scenario with
+    :func:`_resolve` and checks its SNR points with ``ScenarioDefinition.specs_at``.
     Each field but ``scenario`` passes its ``_FIELD_RULES`` rule or raises ValueError:
     ``trials`` (>= 1), ``master_seed`` (>= 0) and ``parallelism`` (None or >= 1) are integers
     (numpy's too, never bools), stored as int; ``lambda_grid`` and ``snr_points_db`` (reals) and
-    ``dims`` ((M, K) integer pairs >= 0) are None or sequences, stored as tuples of floats or int
-    pairs (empty: None); ``output_path`` is None, a str or an os.PathLike; ``dump_trials`` a bool,
-    True only with an ``output_path``, as the per-trial CSV is written next to it.
+    ``dims`` ((M, K) integer pairs, M, K >= 1, K/M in the estimator's band) are None or sequences,
+    stored as tuples of floats or int pairs (empty: None); ``output_path`` is None, a str or an
+    os.PathLike; ``dump_trials`` a bool, True only with an ``output_path``, beside which it writes.
     """
 
     scenario: str | ScenarioDefinition = "a"
@@ -150,11 +152,6 @@ class RunConfig:
         if self.dump_trials and not self.output_path:
             raise ValueError("dump_trials needs an output_path: the per-trial CSV is written "
                              "next to it")
-
-    def resolve_scenario(self) -> ScenarioDefinition:
-        if isinstance(self.scenario, ScenarioDefinition):
-            return self.scenario
-        return scenario_catalog(self.scenario, seed=self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -219,6 +216,16 @@ def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key) 
     return synthesize(spectrum, *sample_truth(signal, noise, m, k, rng), rng)
 
 
+def _attempt(failed: str, call, *args):
+    """``call(*args)``, or None after logging ``"<failed>: <exc>"`` if it raises a RidgeSnrError:
+    the sweep engine's one rule for a failed step, whose run goes on and records None."""
+    try:
+        return call(*args)
+    except RidgeSnrError as exc:
+        log.warning("%s: %s", failed, exc)
+        return None
+
+
 def _run_trial(block, specs, snr_db: float, master_seed: int, key_prefix: tuple[int, ...],
                trial: int) -> list[SnrEstimate | None]:
     """Run one trial; returns its [proposed, ml] SnrEstimate pair.
@@ -229,22 +236,13 @@ def _run_trial(block, specs, snr_db: float, master_seed: int, key_prefix: tuple[
     failed) fails proposed.
     """
     spectrum, m, k, plan = block
-    pair = [None, None]
-    try:
-        model = _draw_trial(spectrum, *specs, m, k, master_seed, (*key_prefix, trial))
-    except RidgeSnrError as exc:
-        log.warning("trial %d at %.1f dB failed: %s", trial, snr_db, exc)
-        return pair
-    for col, method, args in ((0, plan.estimate if plan else None, (model,)),
-                              (1, ml_baseline, (model, specs[0].implied_variance))):
-        if method is None:
-            continue
-        try:
-            pair[col] = method(*args)
-        except RidgeSnrError as exc:
-            log.warning("trial %d at %.1f dB failed in %s: %s",
-                        trial, snr_db, method.__name__, exc)
-    return pair
+    failed = f"trial {trial} at {snr_db:.1f} dB failed"
+    model = _attempt(failed, _draw_trial, spectrum, *specs, m, k, master_seed,
+                     (*key_prefix, trial))
+    if model is None:
+        return [None, None]
+    return [None if plan is None else _attempt(failed + " in estimate", plan.estimate, model),
+            _attempt(failed + " in ml_baseline", ml_baseline, model, specs[0].implied_variance)]
 
 
 def _correlation_for(definition: ScenarioDefinition, m: int, seed: int) -> CorrelationSpectrum:
@@ -259,8 +257,7 @@ def _trial_rows(pairs, snr_db, m, k, grid_label=""):
     degenerate."""
     for trial, pair in enumerate(pairs):
         for method, est in zip(("proposed", "ml"), pair):
-            values = (math.nan,) * 4 + (False,) if est is None else (
-                est.sigma_x2_hat, est.sigma_n2_hat, est.snr_linear, est.snr_db, est.degenerate)
+            values = (math.nan,) * 4 + (False,) if est is None else attrgetter(*REPORTED)(est)
             yield (snr_db, method, m, k, trial, *values, grid_label)
 
 
@@ -271,7 +268,7 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     from stream key_prefix + (p, t). The correlation and the estimator plan are
     built once per block, since neither depends on the SNR.
     """
-    points = config.snr_points_db or definition.snr_points_db
+    points = definition.snr_points_db
     specs = [definition.specs_at(snr_db) for snr_db in points]  # checks every point first
     rows: list[MetricsRow] = []
     trial_rows: list[tuple] = []
@@ -282,12 +279,8 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
         run = partial(pool.map, chunksize=math.ceil(trials / (4 * workers))) if pooled else map
         for m, k, grid, label, key_prefix in blocks:
             spectrum = _correlation_for(definition, m, config.master_seed)
-            try:
-                plan = EstimatorPlan(spectrum, m, k, grid)
-            except RidgeSnrError as exc:
-                log.warning("estimator plan for %dx%d failed; proposed fails on every trial: %s",
-                            m, k, exc)
-                plan = None
+            plan = _attempt(f"estimator plan for {m}x{k} failed; proposed fails on every trial",
+                            EstimatorPlan, spectrum, m, k, grid)
             for point_idx, (snr_db, point_specs) in enumerate(zip(points, specs)):
                 task = partial(_run_trial, (spectrum, m, k, plan), point_specs, snr_db,
                                config.master_seed, (*key_prefix, point_idx))
@@ -306,11 +299,25 @@ UNREAD = {"run_scenario": ("dims",), "dim_sweep": (), "lambda_sensitivity": ("la
           "verify_theorem": ("snr_points_db", "parallelism", "dump_trials", "dims")}
 
 
-def _reject_unread(config: RunConfig, run: str) -> None:
-    """Reject the first of ``UNREAD[run]`` that ``config`` sets away from its default."""
+def _resolve(config: RunConfig, run: str) -> ScenarioDefinition:
+    """The scenario ``run`` sweeps under ``config``, with each field ``config`` sets in place
+    (``dims_list`` holds the dims a dimension sweep runs). ValueError for the first of
+    ``UNREAD[run]`` set away from its default, and for SNR points on a fixed-variance (``swept``
+    None) scenario, which holds at its own point only; FileNotFoundError for an ``output_path``
+    with no directory to be written into."""
     for name in UNREAD[run]:
         if getattr(config, name) != getattr(RunConfig, name):  # the class holds the default
             raise ValueError(f"{run} does not read config.{name}; it must keep its default")
+    d = config.scenario
+    if not isinstance(d, ScenarioDefinition):
+        d = scenario_catalog(d, seed=config.master_seed)
+    if config.snr_points_db and d.swept is None:
+        raise ValueError(f"scenario {d.name!r} has fixed variances and takes no SNR points")
+    if config.output_path and not Path(config.output_path).parent.is_dir():
+        raise FileNotFoundError(f"no directory to write {config.output_path} into")
+    return replace(d, lambda_grid=config.lambda_grid or d.lambda_grid,
+                   snr_points_db=config.snr_points_db or d.snr_points_db,
+                   dims_list=config.dims or d.dims_list or (d.dims,))
 
 
 def run_scenario(config: RunConfig) -> list[MetricsRow]:
@@ -319,32 +326,26 @@ def run_scenario(config: RunConfig) -> list[MetricsRow]:
     Each trial draws fresh (x0, n, Wbar) from its own stream; the correlation
     matrix is built once per run. Writes CSV when output_path is set.
     """
-    _reject_unread(config, "run_scenario")
-    definition = config.resolve_scenario()
+    definition = _resolve(config, "run_scenario")
     m, k = definition.dims
-    grid = config.lambda_grid or definition.lambda_grid
-    return _sweep(config, definition, [(m, k, grid, "", (STREAM_TRIALS,))])
+    return _sweep(config, definition, [(m, k, definition.lambda_grid, "", (STREAM_TRIALS,))])
 
 
 def _first_trial(config: RunConfig) -> tuple[LinearModel, tuple[float, ...]]:
     """The model of trial 0 at the first point of run_scenario(config), and its grid."""
-    _reject_unread(config, "run_scenario")
-    definition = config.resolve_scenario()
+    definition = _resolve(config, "run_scenario")
     m, k = definition.dims
-    specs = [definition.specs_at(snr_db)  # checks every point
-             for snr_db in config.snr_points_db or definition.snr_points_db]
+    specs = [definition.specs_at(snr_db) for snr_db in definition.snr_points_db]  # checks all
     spectrum = _correlation_for(definition, m, config.master_seed)
     model = _draw_trial(spectrum, *specs[0], m, k, config.master_seed, (STREAM_TRIALS, 0, 0))
-    return model, config.lambda_grid or definition.lambda_grid
+    return model, definition.lambda_grid
 
 
 def dim_sweep(config: RunConfig) -> list[MetricsRow]:
     """Scenario-world sweep over a list of (M, K) dimensions."""
-    definition = config.resolve_scenario()
-    dims = config.dims or definition.dims_list or (definition.dims,)
-    grid = config.lambda_grid or definition.lambda_grid
-    return _sweep(config, definition, [(m, k, grid, "", (STREAM_DIM_SWEEP, i))
-                                       for i, (m, k) in enumerate(dims)])
+    definition = _resolve(config, "dim_sweep")
+    return _sweep(config, definition, [(m, k, definition.lambda_grid, "", (STREAM_DIM_SWEEP, i))
+                                       for i, (m, k) in enumerate(definition.dims_list)])
 
 
 def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
@@ -353,8 +354,7 @@ def lambda_sensitivity(config: RunConfig) -> list[MetricsRow]:
     A set ``lambda_grid`` is rejected: the run would not use it. So is a
     scenario without ``lambda_grids`` (catalog entry ``i`` has three).
     """
-    _reject_unread(config, "lambda_sensitivity")
-    definition = config.resolve_scenario()
+    definition = _resolve(config, "lambda_sensitivity")
     if not definition.lambda_grids:
         raise ValueError(f"scenario {definition.name!r} has no lambda_grids to compare")
     m, k = definition.dims
@@ -372,10 +372,9 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
     predicted, rel_error). A set ``snr_points_db`` is rejected, as the variances are the
     scenario's own, and so are ``dump_trials``, ``dims`` and a ``parallelism`` other than 1.
     """
-    _reject_unread(config, "verify_theorem")
-    definition = config.resolve_scenario()
+    definition = _resolve(config, "verify_theorem")
     m, k = definition.dims
-    grid = config.lambda_grid or definition.lambda_grid
+    grid = definition.lambda_grid
     spectrum = _correlation_for(definition, m, config.master_seed)
     signal, noise = definition.specs_at(definition.snr_points_db[0])
     _check_dims(spectrum, m, k)
@@ -412,8 +411,7 @@ def estimate_from_files(y_path, wbar_path, psi_path, lambdas):
 # The columns of the three run tables: a metrics row, a row of the per-trial dump,
 # and a verify_theorem row.
 METRICS_COLUMNS = tuple(column.name for column in fields(MetricsRow))
-TRIAL_COLUMNS = ("snr_true_db", "method", "m", "k", "trial", "sigma_x2_hat", "sigma_n2_hat",
-                 "snr_linear", "snr_db", "degenerate", "grid_label")
+TRIAL_COLUMNS = ("snr_true_db", "method", "m", "k", "trial", *REPORTED, "grid_label")
 THEOREM_COLUMNS = ("lambda", "mc_mean_phi", "alpha", "rel_error")
 
 

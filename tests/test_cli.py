@@ -425,6 +425,21 @@ class TestCliRuns:
         ])
         assert code == 4
 
+    # checked when the run starts, so no trial or theorem draw runs first
+    @pytest.mark.parametrize("command", ["scenario", "dim-sweep", "lambda-sensitivity",
+                                         "verify-theorem"])
+    def test_unwritable_output_exits_before_any_trial(self, monkeypatch, tmp_path, capsys,
+                                                      command):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("ridgesnr.harness._draw_trial", no_trial)
+        monkeypatch.setattr("ridgesnr.harness.sample_truth", no_trial)
+        name = ["a"] if command == "scenario" else []
+        out = tmp_path / "no-such-dir" / "x.csv"
+        assert cli.main([command, *name, "--trials", "2", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"i/o error: no directory to write {out} into\n"
+
     def test_verify_theorem_prints_table(self, capsys):
         code = cli.main(["verify-theorem", "--trials", "5", "--lambdas", "0.5,5"])
         assert code == 0

@@ -24,8 +24,8 @@ from ridgesnr import (
 )
 from ridgesnr.exceptions import ConvergenceError, DimensionError, RidgeSnrError
 from ridgesnr.harness import (STREAM_FIXED_DESIGN, STREAM_THEOREM_DRAWS, STREAM_TRIALS,
-                              _aggregate, _cell, _correlation_for, _draw_trial, derive_rng,
-                              estimate_from_files)
+                              _aggregate, _cell, _correlation_for, _draw_trial, _resolve,
+                              derive_rng, estimate_from_files)
 from square_requests import reference_estimate, write_square_request
 
 
@@ -233,10 +233,39 @@ class TestFailedTrials:
 
     def test_zero_columns_fail_every_trial_without_aborting(self):
         # the plan rejects K = 0 as the model does, before the fixed point
-        # (which raises a plain ValueError for K < 1) can abort the run
-        config = RunConfig(scenario="a", trials=2, master_seed=1, snr_points_db=(10.0,),
-                           dims=((16, 0),), parallelism=1)
-        assert all(r.trials_failed == 2 for r in dim_sweep(config))
+        # (which raises a plain ValueError for K < 1) can abort the run; RunConfig
+        # rejects such dims, so only a definition can carry them
+        defn = replace(scenario_catalog("a"), dims=(16, 0), snr_points_db=(10.0,))
+        config = RunConfig(scenario=defn, trials=2, master_seed=1, parallelism=1)
+        assert all(r.trials_failed == 2 for r in run_scenario(config))
+
+    # each step that fails logs one warning with its own text; the run goes on
+    @pytest.mark.parametrize("case, expected", [
+        ("plan-and-draw", ["estimator plan for 300x2 failed; proposed fails on every trial: "
+                           "aspect ratio K/M = 0.006667 outside [0.01, 100.0]"]
+         + [f"trial {t} at 10.0 dB failed: aspect ratio K/M = 0.006667 outside [0.01, 100.0]"
+            for t in range(2)]),
+        ("estimate", [f"trial {t} at 3082.0 dB failed in estimate: phi contains non-finite "
+                      "entries" for t in range(2)]),
+        ("ml_baseline", [f"trial {t} at 10.0 dB failed in ml_baseline: no baseline"
+                         for t in range(2)]),
+    ])
+    def test_warning_text_of_each_failed_step(self, monkeypatch, caplog, case, expected):
+        def ml_baseline(*args):
+            raise RidgeSnrError("no baseline")
+
+        defn, points = scenario_catalog("a"), (10.0,)
+        if case == "plan-and-draw":
+            defn = replace(defn, correlation=CorrelationSpec(kind="identity", dim=300),
+                           dims=(300, 2))
+        elif case == "estimate":
+            points = (3082.0,)
+        else:
+            monkeypatch.setattr("ridgesnr.harness.ml_baseline", ml_baseline)
+        config = RunConfig(scenario=defn, trials=2, snr_points_db=points, parallelism=1)
+        with caplog.at_level("WARNING", logger="ridgesnr.harness"):
+            run_scenario(config)
+        assert [record.getMessage() for record in caplog.records] == expected
 
     @pytest.mark.parametrize("dims", [(16, -3), (-16, 8)])
     def test_negative_dims_are_rejected_by_the_config(self, dims):
@@ -269,7 +298,7 @@ class TestTrialInvariantWork:
         config = RunConfig(scenario="a", trials=5, master_seed=8,
                            snr_points_db=(0.0, 10.0, 20.0), parallelism=1)
         run_scenario(config)
-        definition = config.resolve_scenario()
+        definition = _resolve(config, "run_scenario")
         assert calls == [(*definition.dims, tuple(definition.lambda_grid))]
 
     def test_one_plan_per_dims_block(self, monkeypatch):
@@ -277,7 +306,7 @@ class TestTrialInvariantWork:
         config = RunConfig(scenario="h", trials=3, master_seed=6,
                            snr_points_db=(0.0, 10.0), parallelism=1)
         dim_sweep(config)
-        definition = config.resolve_scenario()
+        definition = _resolve(config, "dim_sweep")
         grid = tuple(definition.lambda_grid)
         assert calls == [(*dims, grid) for dims in definition.dims_list]
 
@@ -367,7 +396,7 @@ class TestVerifyTheorem:
         # independent of the printed digits the pinned CSV hash covers
         config = RunConfig(scenario="fig1", trials=12, master_seed=seed)
         rows = verify_theorem(config)
-        definition = config.resolve_scenario()
+        definition = _resolve(config, "verify_theorem")
         m, k = definition.dims
         grid = np.array(definition.lambda_grid)
         spectrum = _correlation_for(definition, m, seed)
@@ -534,21 +563,36 @@ class TestSnrPointRule:
     # scenario a with the sensitivity grids, so that every runner sweeps the same world
     DEFINITION = replace(scenario_catalog("a"), lambda_grids=scenario_catalog("i").lambda_grids)
 
+    @staticmethod
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
     @pytest.mark.parametrize("snr_db", [math.nan, 1e6, -3300.0])
     @pytest.mark.parametrize("runner", [run_scenario, dim_sweep, lambda_sensitivity],
                              ids=lambda runner: runner.__name__)
     def test_rejects_an_unrepresentable_point_before_any_trial(self, monkeypatch, tmp_path,
                                                                runner, snr_db):
-        def no_trial(*args):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr("ridgesnr.harness._draw_trial", no_trial)
+        monkeypatch.setattr("ridgesnr.harness._draw_trial", self.no_trial)
         out = tmp_path / "run.csv"
         config = RunConfig(scenario=self.DEFINITION, trials=2, snr_points_db=(10.0, snr_db),
                            output_path=str(out))
         with pytest.raises(ValueError, match=re.escape(f"SNR point {snr_db} dB is out of range")):
             runner(config)
         assert not out.exists()
+
+    # a fixed-variance scenario's specs hold at its own point only: scored against another
+    # point, its estimates would read as a bias
+    @pytest.mark.parametrize("runner", [run_scenario, dim_sweep, lambda_sensitivity],
+                             ids=lambda runner: runner.__name__)
+    def test_a_fixed_variance_scenario_takes_no_points(self, monkeypatch, runner):
+        monkeypatch.setattr("ridgesnr.harness._draw_trial", self.no_trial)
+        defn = replace(self.DEFINITION, name="fixed", swept=None)
+        with pytest.raises(ValueError, match="scenario 'fixed' has fixed variances"):
+            runner(RunConfig(scenario=defn, trials=2, snr_points_db=(0.0, 10.0)))
+
+    def test_a_fixed_variance_scenario_runs_at_its_own_point(self):
+        rows = run_scenario(RunConfig(scenario="fig1", trials=2, parallelism=1))
+        assert [(r.snr_true_db, r.trials_failed) for r in rows] == [(10.0, 0), (10.0, 0)]
 
 
 class TestEstimateFromFiles:
@@ -647,9 +691,14 @@ class TestPinnedOutput:
     (dict(snr_points_db=10.0), "'snr_points_db' = 10.0: "),
     (dict(master_seed=-1), "master_seed must be at least 0"),
     (dict(dump_trials=True), "dump_trials needs an output_path"),
+    (dict(dims=((16, 8), (5, 0))), "dims 5x0 needs M, K >= 1 and K/M in [0.01, 100.0]"),
+    (dict(dims=((0, 5),)), "dims 0x5 needs M, K >= 1"),
+    (dict(dims=((10, 2000),)), "dims 10x2000 needs M, K >= 1 and K/M in [0.01, 100.0]"),
+    (dict(dims=((300, 2),)), "dims 300x2 needs M, K >= 1 and K/M in [0.01, 100.0]"),
 ], ids=["trials", "parallelism", "trials-float", "parallelism-float", "trials-bool",
         "output-path-int", "lambda-grid-strings", "dump-trials-str", "snr-points-scalar",
-        "master-seed-negative", "dump-trials-without-output-path"])
+        "master-seed-negative", "dump-trials-without-output-path", "dims-zero-columns",
+        "dims-zero-rows", "dims-aspect-above", "dims-aspect-below"])
 def test_input_checks(changes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         RunConfig(**changes)
