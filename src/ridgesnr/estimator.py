@@ -27,7 +27,6 @@ from .rmt import CorrelationSpectrum, _as_matrix, _positive_finite, coefficients
 
 __all__ = [
     "LinearModel",
-    "RidgeSolution",
     "SnrEstimate",
     "EstimatorPlan",
     "ridge_solve",
@@ -56,12 +55,15 @@ COST_BLOCK = 64
 GRAM_RCOND = 1e-4
 
 
+def _aspect_in_band(m: int, k: int) -> bool:
+    return MIN_ASPECT <= k / m <= MAX_ASPECT
+
+
 def _check_dims(spectrum: CorrelationSpectrum, m: int, k: int) -> None:
     if spectrum.dim != m:
         raise DimensionError(f"correlation dim {spectrum.dim} != design rows {m}")
-    aspect = k / m
-    if not (MIN_ASPECT <= aspect <= MAX_ASPECT):
-        raise DimensionError(f"aspect ratio K/M = {aspect:.4g} outside [{MIN_ASPECT}, {MAX_ASPECT}]")
+    if not _aspect_in_band(m, k):
+        raise DimensionError(f"aspect ratio K/M = {k / m:.4g} outside [{MIN_ASPECT}, {MAX_ASPECT}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,16 +118,6 @@ class LinearModel:
         return self.design.T @ self.y
 
 
-@dataclass(frozen=True, eq=False)
-class RidgeSolution:
-    """Ridge solution, its residual y - W x_hat and its normalized cost at one penalty."""
-
-    lam: float
-    x_hat: np.ndarray
-    residual: np.ndarray
-    phi: float
-
-
 @dataclass(frozen=True)
 class SnrEstimate:
     """Estimated (sigma_x^2, sigma_n^2), the SNR they imply, and fit diagnostics.
@@ -164,8 +156,8 @@ class SnrEstimate:
         return not (0.0 < self.snr_linear < math.inf)
 
 
-def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
-    """Solve min_x ||y - W x||^2 + lam ||x||^2 and evaluate the normalized cost.
+def ridge_solve(model: LinearModel, lam: float) -> tuple[np.ndarray, float]:
+    """Solve min_x ||y - W x||^2 + lam ||x||^2; returns (x_hat, phi), phi the normalized cost.
 
     The normal equations (W^T W + lam I) x = W^T y are solved by Cholesky, with
     lam added to the diagonal of a copy of the cached Gram matrix: one LAPACK
@@ -186,7 +178,7 @@ def ridge_solve(model: LinearModel, lam: float) -> RidgeSolution:
     resid = model.y - model.design @ x_hat
     with np.errstate(over="ignore"):  # an overflowed cost reads inf, which nnls_2var rejects
         phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
-    return RidgeSolution(lam=lam, x_hat=x_hat, residual=resid, phi=phi)
+    return x_hat, phi
 
 
 def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
@@ -202,7 +194,7 @@ def ridge_costs(design, ys, lambdas) -> Iterator[np.ndarray]:
     ``ys`` is an iterable of observation vectors, stacked in blocks of at most
     ``COST_BLOCK`` columns so memory does not grow with their number; one
     (len(lambdas), n) array of costs is yielded per block of n observations.
-    Each cost equals ``ridge_solve(model, lam).phi`` to rounding.
+    Each cost equals ``ridge_solve(model, lam)[1]`` to rounding.
     """
     w = np.asarray(design, dtype=float)
     if w.ndim != 2:
@@ -320,7 +312,7 @@ class EstimatorPlan:
             raise DimensionError("model was not drawn with the plan's correlation spectrum")
         if (model.m, model.k) != (self.m, self.k):
             raise DimensionError(f"model is {model.m}x{model.k}, plan is {self.m}x{self.k}")
-        return np.array([ridge_solve(model, lam).phi for lam in self.lambdas])
+        return np.array([ridge_solve(model, lam)[1] for lam in self.lambdas])
 
     def estimate(self, model: LinearModel) -> SnrEstimate:
         """Blind SNR estimate of ``model`` (see :func:`estimate_snr`), from Xi @ sigma ~ costs
@@ -353,5 +345,6 @@ def ml_baseline(model: LinearModel, true_sigma_x2: float) -> SnrEstimate:
     """
     if true_sigma_x2 < 0:
         raise ValueError("true signal variance must be nonnegative")
-    resid = ridge_solve(model, LS_EPSILON).residual
+    x_hat, _ = ridge_solve(model, LS_EPSILON)
+    resid = model.y - model.design @ x_hat
     return SnrEstimate(float(true_sigma_x2), float(resid @ resid) / model.m)

@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .estimator import (MAX_ASPECT, MIN_ASPECT, REPORTED, EstimatorPlan, LinearModel,
-                        SnrEstimate, _check_dims, estimate_snr, ml_baseline, ridge_costs)
+from .estimator import (MAX_ASPECT, MIN_ASPECT, REPORTED, EstimatorPlan, LinearModel, SnrEstimate,
+                        _aspect_in_band, _check_dims, estimate_snr, ml_baseline, ridge_costs)
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients_grid
 from .scenarios import (
@@ -93,7 +93,7 @@ def _integer(value, least: int, why: str) -> int:
 def _pair(m, k) -> tuple[int, int]:
     why = f"dims {m}x{k} has a negative dimension"
     m, k = _integer(m, 0, why), _integer(k, 0, why)
-    if not (m and MIN_ASPECT <= k / m <= MAX_ASPECT):  # the estimator takes no other pair
+    if not (m and _aspect_in_band(m, k)):  # the estimator takes no other pair
         raise ValueError(f"dims {m}x{k} needs M, K >= 1 and K/M in [{MIN_ASPECT}, {MAX_ASPECT}]")
     return m, k
 
@@ -289,7 +289,8 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
                     rows.append(_aggregate(snr_db, method, m, k, estimates, label))
                 if config.dump_trials:
                     trial_rows.extend(_trial_rows(pairs, snr_db, m, k, label))
-    _write_outputs(config, rows, trial_rows)
+    if config.output_path:
+        _write_outputs(config, _metrics_table(rows), _table(TRIAL_COLUMNS, trial_rows))
     return rows
 
 
@@ -303,8 +304,8 @@ def _resolve(config: RunConfig, run: str) -> ScenarioDefinition:
     """The scenario ``run`` sweeps under ``config``, with each field ``config`` sets in place
     (``dims_list`` holds the dims a dimension sweep runs). ValueError for the first of
     ``UNREAD[run]`` set away from its default, and for SNR points on a fixed-variance (``swept``
-    None) scenario, which holds at its own point only; FileNotFoundError for an ``output_path``
-    with no directory to be written into."""
+    None) scenario, which holds at its own point only; OSError for a file the run writes (its
+    :func:`_output_paths`) with no directory to be written into, or that is a directory."""
     for name in UNREAD[run]:
         if getattr(config, name) != getattr(RunConfig, name):  # the class holds the default
             raise ValueError(f"{run} does not read config.{name}; it must keep its default")
@@ -313,8 +314,11 @@ def _resolve(config: RunConfig, run: str) -> ScenarioDefinition:
         d = scenario_catalog(d, seed=config.master_seed)
     if config.snr_points_db and d.swept is None:
         raise ValueError(f"scenario {d.name!r} has fixed variances and takes no SNR points")
-    if config.output_path and not Path(config.output_path).parent.is_dir():
-        raise FileNotFoundError(f"no directory to write {config.output_path} into")
+    for path in _output_paths(config):  # output_path first: `.` has no name to derive one from
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"no directory to write {config.output_path} into")
+        if path.is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
     return replace(d, lambda_grid=config.lambda_grid or d.lambda_grid,
                    snr_points_db=config.snr_points_db or d.snr_points_db,
                    dims_list=config.dims or d.dims_list or (d.dims,))
@@ -395,7 +399,7 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
         rel = abs(mc - predicted) / predicted if predicted != 0 else abs(mc)
         rows.append((float(lam), float(mc), float(predicted), float(rel)))
     if config.output_path:
-        _write_csv(config.output_path, config, _table(THEOREM_COLUMNS, rows))
+        _write_outputs(config, _table(THEOREM_COLUMNS, rows))
     return rows
 
 
@@ -452,15 +456,17 @@ def _metrics_table(rows: list[MetricsRow]) -> list[str]:
     return _table(METRICS_COLUMNS, map(attrgetter(*METRICS_COLUMNS), rows))
 
 
-def _write_csv(path: str | Path, config: RunConfig, table: list[str]) -> None:
-    Path(path).write_text("\n".join(_config_header(config) + table) + "\n")
-
-
-def _write_outputs(config: RunConfig, rows: list[MetricsRow], trial_rows: list[tuple]) -> None:
-    if not config.output_path:
-        return
-    _write_csv(config.output_path, config, _metrics_table(rows))
-    if config.dump_trials:
+def _output_paths(config: RunConfig):
+    """The files a run writes: ``output_path``, then with ``dump_trials`` the per-trial CSV beside
+    it, <stem>_trials<suffix>."""
+    if config.output_path:
         out = Path(config.output_path)
-        _write_csv(out.with_name(out.stem + "_trials" + out.suffix), config,
-                   _table(TRIAL_COLUMNS, trial_rows))
+        yield out
+        if config.dump_trials:
+            yield out.with_name(out.stem + "_trials" + out.suffix)
+
+
+def _write_outputs(config: RunConfig, *tables: list[str]) -> None:
+    """Write each table, under the run's header, to its file of :func:`_output_paths`."""
+    for path, table in zip(_output_paths(config), tables):
+        path.write_text("\n".join(_config_header(config) + table) + "\n")

@@ -425,20 +425,36 @@ class TestCliRuns:
         ])
         assert code == 4
 
-    # checked when the run starts, so no trial or theorem draw runs first
-    @pytest.mark.parametrize("command", ["scenario", "dim-sweep", "lambda-sensitivity",
-                                         "verify-theorem"])
+    # checked when the run starts, so no trial or theorem draw runs first and no file is
+    # written: a missing directory, a directory as --out, or one at the --dump-trials path
+    # (verify-theorem writes no per-trial CSV)
+    @pytest.mark.parametrize("command, target", [
+        *(pytest.param(command, target, id=command + suffix)
+          for target, suffix in [("missing", ""), ("out-dir", "-out-dir")]
+          for command in ["scenario", "dim-sweep", "lambda-sensitivity", "verify-theorem"]),
+        *(pytest.param(command, "trials-dir", id=command + "-trials-dir")
+          for command in ["scenario", "dim-sweep", "lambda-sensitivity"]),
+    ])
     def test_unwritable_output_exits_before_any_trial(self, monkeypatch, tmp_path, capsys,
-                                                      command):
+                                                      command, target):
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr("ridgesnr.harness._draw_trial", no_trial)
         monkeypatch.setattr("ridgesnr.harness.sample_truth", no_trial)
         name = ["a"] if command == "scenario" else []
-        out = tmp_path / "no-such-dir" / "x.csv"
-        assert cli.main([command, *name, "--trials", "2", "--out", str(out)]) == 4
-        assert capsys.readouterr().err == f"i/o error: no directory to write {out} into\n"
+        out = tmp_path / ("no-such-dir" if target == "missing" else "d") / "x.csv"
+        flags = ["--dump-trials"] if target == "trials-dir" else []
+        blocked = {"out-dir": out, "trials-dir": out.parent / "x_trials.csv"}.get(target)
+        if blocked is None:
+            error = f"no directory to write {out} into"
+        else:
+            blocked.mkdir(parents=True)
+            error = f"cannot write {blocked}: it is a directory"
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([command, *name, "--trials", "2", "--out", str(out), *flags]) == 4
+        assert capsys.readouterr().err == f"i/o error: {error}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_verify_theorem_prints_table(self, capsys):
         code = cli.main(["verify-theorem", "--trials", "5", "--lambdas", "0.5,5"])
@@ -534,6 +550,18 @@ class TestCliRuns:
                          "--parallelism", "auto", "--out", str(out)])
         assert code == 0
         assert out.exists()
+
+    # a config's "auto" is None, as the flag's is, and a --parallelism flag overrides it
+    @pytest.mark.parametrize("flags, parallelism", [([], None), (["--parallelism", "2"], 2)],
+                             ids=["config", "flag-over-config"])
+    def test_config_parallelism_auto(self, monkeypatch, tmp_path, capsys, flags, parallelism):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"trials": 2, "snr_points_db": [10], "parallelism": "auto"}))
+        configs = []
+        monkeypatch.setattr("ridgesnr.harness._sweep",
+                            lambda config, *args: configs.append(config) or [])
+        assert cli.main(["scenario", "a", "--config", str(cfg), *flags]) == 0
+        assert [config.parallelism for config in configs] == [parallelism]
 
     def test_bad_parallelism_exits_config_error(self, capsys):
         for value in ("zero", "2.5"):

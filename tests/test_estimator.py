@@ -120,43 +120,43 @@ class TestRidgeSolve:
     def test_identity_design_scalar_shrinkage(self):
         y = np.array([1.0, -2.0, 0.5, 4.0])
         for lam in (0.1, 1.0, 7.0):
-            sol = ridge_solve(identity_model(y), lam)
-            assert np.allclose(sol.x_hat, y / (1.0 + lam), atol=1e-12)
+            x_hat, _ = ridge_solve(identity_model(y), lam)
+            assert np.allclose(x_hat, y / (1.0 + lam), atol=1e-12)
 
     def test_huge_penalty_kills_solution(self):
         model = random_model(0)
-        sol = ridge_solve(model, 1e12)
-        assert np.linalg.norm(sol.x_hat) <= 1e-9 * np.linalg.norm(model.wty)
-        assert sol.phi == pytest.approx(float(model.y @ model.y) / model.k, rel=1e-6)
+        x_hat, phi = ridge_solve(model, 1e12)
+        assert np.linalg.norm(x_hat) <= 1e-9 * np.linalg.norm(model.wty)
+        assert phi == pytest.approx(float(model.y @ model.y) / model.k, rel=1e-6)
 
     def test_matches_gradient_descent_oracle(self):
         model = random_model(1)
         lam = 0.8
-        sol = ridge_solve(model, lam)
+        x_hat, phi = ridge_solve(model, lam)
         oracle = gradient_descent_oracle(model, lam)
-        assert np.allclose(sol.x_hat, oracle, atol=1e-6)
-        assert sol.phi == pytest.approx(ridge_objective(model, lam, sol.x_hat) / model.k, rel=1e-12)
+        assert np.allclose(x_hat, oracle, atol=1e-6)
+        assert phi == pytest.approx(ridge_objective(model, lam, x_hat) / model.k, rel=1e-12)
 
     def test_phi_nondecreasing_in_lambda(self):
         model = random_model(2)
         lams = np.logspace(-4, 4, 30)
-        phis = [ridge_solve(model, lam).phi for lam in lams]
+        phis = [ridge_solve(model, lam)[1] for lam in lams]
         assert np.all(np.diff(phis) >= -1e-12)
 
     def test_phi_nonnegative(self):
         model = random_model(3)
-        assert ridge_solve(model, 1e-8).phi >= 0.0
+        assert ridge_solve(model, 1e-8)[1] >= 0.0
 
     def test_first_order_optimality(self):
         model = random_model(4)
         lam = 0.5
-        sol = ridge_solve(model, lam)
-        base = ridge_objective(model, lam, sol.x_hat)
+        x_hat, _ = ridge_solve(model, lam)
+        base = ridge_objective(model, lam, x_hat)
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = rng.standard_normal(model.k)
             p /= np.linalg.norm(p)
-            assert ridge_objective(model, lam, sol.x_hat + 1e-4 * p) >= base - 1e-12
+            assert ridge_objective(model, lam, x_hat + 1e-4 * p) >= base - 1e-12
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_lambda(self, lam):
@@ -171,10 +171,10 @@ class TestRidgeSolve:
             x_hat = sla.cho_solve(factor, model.wty)
             resid = model.y - model.design @ x_hat
             phi = (float(resid @ resid) + lam * float(x_hat @ x_hat)) / k
-            solution = ridge_solve(model, lam)
-            assert np.array_equal(solution.x_hat, x_hat)
-            assert np.array_equal(solution.residual, resid)
-            assert solution.phi == phi
+            solved_x_hat, solved_phi = ridge_solve(model, lam)
+            assert np.array_equal(solved_x_hat, x_hat)
+            assert np.array_equal(model.y - model.design @ solved_x_hat, resid)
+            assert solved_phi == phi
 
     def test_leaves_cached_gram_and_wty_unchanged(self):
         model = random_model(11, 80, 40)
@@ -202,7 +202,7 @@ class TestRidgeSolve:
             ridge_solve(model, LS_EPSILON)
         with pytest.raises(DefinitenessError, match="not positive definite"):
             ml_baseline(model, 1.0)
-        assert ridge_solve(model, 1e-6).phi > 0.0
+        assert ridge_solve(model, 1e-6)[1] > 0.0
 
     def test_rejects_a_gram_that_overflows(self):
         rng = np.random.default_rng(13)
@@ -241,7 +241,7 @@ class TestRidgeCosts:
     def test_matches_ridge_solve(self, m, k, noise):
         models = self.models(m, k, noise)
         (costs,) = ridge_costs(models[0].design, [model.y for model in models], self.LAMBDAS)
-        expected = np.array([[ridge_solve(model, lam).phi for model in models]
+        expected = np.array([[ridge_solve(model, lam)[1] for model in models]
                              for lam in self.LAMBDAS])
         assert costs.shape == expected.shape
         np.testing.assert_allclose(costs, expected, rtol=1e-10, atol=0)
@@ -258,7 +258,7 @@ class TestRidgeCosts:
         models = [LinearModel(design=design, raw_design=wbar, spectrum=spec,
                               y=rng.standard_normal(80)) for _ in range(3)]
         (costs,) = ridge_costs(design, [model.y for model in models], self.LAMBDAS)
-        expected = np.array([[ridge_solve(model, lam).phi for model in models]
+        expected = np.array([[ridge_solve(model, lam)[1] for model in models]
                              for lam in self.LAMBDAS])
         np.testing.assert_allclose(costs, expected, rtol=1e-10, atol=0)
 
@@ -285,7 +285,7 @@ class TestRidgeCosts:
         ys = np.array([model.y for model in models]).T
         (costs,) = ridge_costs(design, ys.T, self.LAMBDAS)
         assert bool(svd_calls) == (cond > 100)
-        expected = np.array([[ridge_solve(model, lam).phi for model in models]
+        expected = np.array([[ridge_solve(model, lam)[1] for model in models]
                              for lam in self.LAMBDAS])
         np.testing.assert_allclose(costs, expected, rtol=1e-10, atol=0)
         u, s, _ = svd(design, full_matrices=False)
@@ -298,7 +298,7 @@ class TestRidgeCosts:
         models = self.models(12, 6, 0.3, count=COST_BLOCK + 3)
         blocks = list(ridge_costs(models[0].design, (model.y for model in models), (0.5, 2.0)))
         assert [block.shape for block in blocks] == [(2, COST_BLOCK), (2, 3)]
-        assert blocks[1][1, 2] == pytest.approx(ridge_solve(models[-1], 2.0).phi, rel=1e-10)
+        assert blocks[1][1, 2] == pytest.approx(ridge_solve(models[-1], 2.0)[1], rel=1e-10)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_lambda(self, lam):
@@ -372,7 +372,7 @@ class TestEstimatorPlan:
             model = synthesize(spec, *sample_truth(sig, noi, 40, 20, rng), rng)
             assert plan.estimate(model) == estimate_snr(model, grid)
             assert np.array_equal(plan.costs(model),
-                                  [ridge_solve(model, lam).phi for lam in grid])
+                                  [ridge_solve(model, lam)[1] for lam in grid])
 
     def test_rejects_model_of_another_spectrum_or_shape(self):
         model = random_model(11)
@@ -581,8 +581,8 @@ class TestEstimateSnr:
         scaled = LinearModel(design=base.design, raw_design=base.raw_design,
                              spectrum=base.spectrum, y=scale * base.y)
         for lam in grid:
-            assert ridge_solve(scaled, lam).phi == pytest.approx(
-                scale ** 2 * ridge_solve(base, lam).phi, rel=1e-12)
+            assert ridge_solve(scaled, lam)[1] == pytest.approx(
+                scale ** 2 * ridge_solve(base, lam)[1], rel=1e-12)
         est = estimate_snr(base, grid)
         est_scaled = estimate_snr(scaled, grid)
         assert est_scaled.sigma_x2_hat == pytest.approx(scale ** 2 * est.sigma_x2_hat, rel=1e-9)

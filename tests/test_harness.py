@@ -378,7 +378,7 @@ class TestVerifyTheorem:
                                  derive_rng(config.master_seed, STREAM_THEOREM_DRAWS, draw))
             model = estimator.LinearModel(design=design, raw_design=wbar, spectrum=spectrum,
                                           y=design @ x0 + n)
-            sums += [estimator.ridge_solve(model, lam).phi for lam in defn.lambda_grid]
+            sums += [estimator.ridge_solve(model, lam)[1] for lam in defn.lambda_grid]
         np.testing.assert_allclose([row[1] for row in rows], sums / config.trials,
                                    rtol=1e-10, atol=0)
 

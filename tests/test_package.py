@@ -26,8 +26,8 @@ def test_public_api_is_pinned():
     assert sorted(ridgesnr.__all__) == [
         "ConvergenceError", "CorrelationSpec", "CorrelationSpectrum", "DataFormatError",
         "DefinitenessError", "DimensionError", "DistributionSpec", "EstimatorPlan",
-        "LinearModel", "MetricsRow", "RidgeSnrError", "RidgeSolution",
-        "RunConfig", "ScenarioDefinition", "SnrEstimate", "__version__", "alpha",
+        "LinearModel", "MetricsRow", "RidgeSnrError", "RunConfig", "ScenarioDefinition",
+        "SnrEstimate", "__version__", "alpha",
         "build_correlation", "coefficients_grid", "derive_rng", "dim_sweep",
         "estimate_from_files", "estimate_snr", "lambda_sensitivity", "ml_baseline",
         "nnls_2var", "ridge_costs", "ridge_solve", "run_scenario", "sample_truth",
