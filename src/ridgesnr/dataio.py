@@ -24,14 +24,7 @@ __all__ = [
     "write_correlation",
     "load_model",
     "dump_model",
-    "format_float",
 ]
-
-
-def format_float(x: float) -> str:
-    """12-significant-digit text form (nan, inf, -inf as such) of a run CSV's cells;
-    round-trips aggregates within rounding."""
-    return f"{x:.12g}"
 
 
 def _exact(x: float) -> str:

@@ -123,7 +123,8 @@ class RunConfig:
     depend on it. ``lambda_grid`` / ``snr_points_db`` / ``dims`` of None fall back to the
     scenario catalog entry. For verification runs ``trials`` is the number of
     signal/noise draws. Before its first trial a run resolves its scenario with
-    :func:`_resolve` and checks its SNR points with ``ScenarioDefinition.specs_at``.
+    :func:`_resolve`, checks its SNR points with ``ScenarioDefinition.specs_at`` and
+    solves the fixed point of each penalty grid.
     Each field but ``scenario`` passes its ``_FIELD_RULES`` rule or raises ValueError:
     ``trials`` (>= 1), ``master_seed`` (>= 0) and ``parallelism`` (None or >= 1) are integers
     (numpy's too, never bools), stored as int; ``lambda_grid`` and ``snr_points_db`` (reals) and
@@ -181,7 +182,7 @@ class MetricsRow:
 
 
 def _grid_label(grid) -> str:
-    return ";".join(dataio.format_float(v) for v in grid)
+    return ";".join(_cell(float(v)) for v in grid)
 
 
 def _aggregate(snr_true_db: float, method: str, m: int, k: int,
@@ -266,10 +267,17 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
 
     A block is (m, k, grid, grid_label, key_prefix); trial t at point p draws
     from stream key_prefix + (p, t). The correlation and the estimator plan are
-    built once per block, since neither depends on the SNR.
+    built once per block, since neither depends on the SNR, and all before the first
+    trial, as is every point's specs: a grid or point that raises stops the run before a draw.
     """
     points = definition.snr_points_db
-    specs = [definition.specs_at(snr_db) for snr_db in points]  # checks every point first
+    specs = [definition.specs_at(snr_db) for snr_db in points]
+    built = []
+    for m, k, grid, label, key_prefix in blocks:
+        spectrum = _correlation_for(definition, m, config.master_seed)
+        plan = _attempt(f"estimator plan for {m}x{k} failed; proposed fails on every trial",
+                        EstimatorPlan, spectrum, m, k, grid)
+        built.append(((spectrum, m, k, plan), label, key_prefix))
     rows: list[MetricsRow] = []
     trial_rows: list[tuple] = []
     trials = config.trials
@@ -277,10 +285,7 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     pooled = workers > 1 and trials >= 2 * workers
     with ProcessPoolExecutor(workers) if pooled else nullcontext() as pool:
         run = partial(pool.map, chunksize=math.ceil(trials / (4 * workers))) if pooled else map
-        for m, k, grid, label, key_prefix in blocks:
-            spectrum = _correlation_for(definition, m, config.master_seed)
-            plan = _attempt(f"estimator plan for {m}x{k} failed; proposed fails on every trial",
-                            EstimatorPlan, spectrum, m, k, grid)
+        for (spectrum, m, k, plan), label, key_prefix in built:
             for point_idx, (snr_db, point_specs) in enumerate(zip(points, specs)):
                 task = partial(_run_trial, (spectrum, m, k, plan), point_specs, snr_db,
                                config.master_seed, (*key_prefix, point_idx))
@@ -382,6 +387,7 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
     spectrum = _correlation_for(definition, m, config.master_seed)
     signal, noise = definition.specs_at(definition.snr_points_db[0])
     _check_dims(spectrum, m, k)
+    xi, _ = coefficients_grid(spectrum, m, k, grid)  # a grid it rejects draws nothing
     wbar = derive_rng(config.master_seed, STREAM_FIXED_DESIGN).standard_normal((m, k))
     design = spectrum.sqrt_apply(wbar)
 
@@ -392,7 +398,6 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
             yield design @ x0 + n
 
     phi_sums = sum(costs.sum(axis=1) for costs in ridge_costs(design, observations(), grid))
-    xi, _ = coefficients_grid(spectrum, m, k, grid)
     rows = []
     for lam, mc, predicted in zip(grid, phi_sums / config.trials,
                                   alpha(xi, signal.implied_variance, noise.implied_variance)):
@@ -439,9 +444,10 @@ def _config_header(config: RunConfig) -> list[str]:
 
 
 def _cell(value) -> str:
-    """Text of one CSV cell: a float to 12 significant digits, a bool as 0/1, else str."""
+    """Text of one CSV cell: a float to 12 significant digits (nan, inf, -inf as such), a bool
+    as 0/1, else str."""
     if isinstance(value, float):  # np.float64 is a float; tested first, as most cells are
-        return dataio.format_float(value)
+        return f"{value:.12g}"
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     return str(value)

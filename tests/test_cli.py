@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ridgesnr import cli, dataio
+from ridgesnr import cli, dataio, harness
 from ridgesnr.dataio import (
     dump_model,
     load_model,
@@ -20,7 +20,7 @@ from ridgesnr.dataio import (
     write_matrix,
     write_vector,
 )
-from ridgesnr.exceptions import DataFormatError, DimensionError
+from ridgesnr.exceptions import ConvergenceError, DataFormatError, DimensionError
 from ridgesnr.estimator import LinearModel, SnrEstimate, estimate_snr
 from ridgesnr.rmt import CorrelationSpectrum
 from square_requests import reference_estimate, write_square_request
@@ -456,6 +456,38 @@ class TestCliRuns:
         assert capsys.readouterr().err == f"i/o error: {error}\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    # a grid the fixed point rejects exits before the first draw: t = K / lambda overflows at
+    # 1e-320 (verify-theorem's K = 100) and at 1e-306 (the sweep's second block, K = 300),
+    # so no trial of the sweep's first block runs either
+    @pytest.mark.parametrize("argv, lam, k", [
+        (["verify-theorem", "--lambdas", "1e-320,1e-3"], "1e-320", 100),
+        (["dim-sweep", "--snr-db", "0,10", "--dims", "40x20,400x300", "--lambdas",
+          "1e-306,1e-3"], "1e-306", 300),
+    ], ids=["verify-theorem", "dim-sweep"])
+    def test_a_rejected_grid_exits_before_any_draw(self, monkeypatch, capsys, argv, lam, k):
+        def no_draw(*args):
+            raise AssertionError("a draw ran")
+
+        monkeypatch.setattr("ridgesnr.harness.derive_rng", no_draw)
+        monkeypatch.setattr("ridgesnr.harness._draw_trial", no_draw)
+        assert cli.main([*argv, "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: lambda {lam} is too small: ")
+        assert err.endswith(f" overflows at K = {k}\n")
+
+    def test_verify_theorem_fixed_point_failure_exits_before_any_draw(self, monkeypatch,
+                                                                     capsys):
+        def no_draw(*args):
+            raise AssertionError("a draw ran")
+
+        def no_root(*args):
+            raise ConvergenceError("fixed point did not converge")
+
+        monkeypatch.setattr("ridgesnr.harness.derive_rng", no_draw)
+        monkeypatch.setattr("ridgesnr.harness.coefficients_grid", no_root)
+        assert cli.main(["verify-theorem", "--trials", "2"]) == 3
+        assert capsys.readouterr().err == "numeric error: fixed point did not converge\n"
+
     def test_verify_theorem_prints_table(self, capsys):
         code = cli.main(["verify-theorem", "--trials", "5", "--lambdas", "0.5,5"])
         assert code == 0
@@ -727,7 +759,7 @@ class TestCliRuns:
         recorded = json.loads((tmp_path / "dump" / "estimate.json").read_text())
         assert (tmp_path / "dump" / "lambdas.csv").read_text() == "0.002,0.004,0.008\n"
         for name in ("sigma_x2_hat", "sigma_n2_hat"):
-            assert dataio.format_float(recorded[name]) == first[name]
+            assert harness._cell(recorded[name]) == first[name]
 
     @pytest.mark.parametrize("name", ["a", "c"])
     def test_snr_points_of_400_db_still_run(self, tmp_path, capsys, name):
