@@ -36,7 +36,7 @@ def main():
     print(f"world: exponential correlation (rho 0.4), {M}x{K}, "
           f"true SNR {SNR_DB:.1f} dB (sigma_x^2={sigma_x2:.3f}, sigma_n^2={sigma_n2:.3f})\n")
 
-    plan = EstimatorPlan(model.spectrum, M, K, LAMBDAS)
+    plan = EstimatorPlan(model.spectrum, K, LAMBDAS)
     print(f"{'lambda':>8} {'xi1':>12} {'xi2':>12} {'realized cost':>14}")
     for lam, (xi1, xi2), phi in zip(plan.lambdas, plan.xi, plan.costs(model)):
         print(f"{lam:8.3g} {xi1:12.6f} {xi2:12.6f} {phi:14.6f}")

@@ -165,9 +165,8 @@ def _estimate_json(estimate: SnrEstimate, *extra: str) -> dict:
             for name, v in zip(names, values)}
 
 
-def dump_model(directory: str | Path, model: LinearModel, lambdas,
-               estimate: SnrEstimate | None = None) -> dict:
-    """Write y.csv, wbar.csv, psi.csv (and the grid/estimate) into a directory.
+def dump_model(directory: str | Path, model: LinearModel, lambdas, estimate: SnrEstimate) -> dict:
+    """Write y.csv, wbar.csv, psi.csv, the grid and the estimate into a directory.
 
     The model files and the grid hold each float as the shortest text that reads back as
     it, so :func:`load_model` reads back the same y, Wbar and Psi eigenvalues (a dense Psi
@@ -182,13 +181,12 @@ def dump_model(directory: str | Path, model: LinearModel, lambdas,
         "wbar": directory / "wbar.csv",
         "psi": directory / "psi.csv",
         "lambdas": directory / "lambdas.csv",
+        "estimate": directory / "estimate.json",
     }
     write_vector(paths["y"], model.y)
     write_matrix(paths["wbar"], model.raw_design)
     write_correlation(paths["psi"], model.spectrum)
-    Path(paths["lambdas"]).write_text(_exact_row(lambdas) + "\n")
-    if estimate is not None:
-        paths["estimate"] = directory / "estimate.json"
-        text = json.dumps(_estimate_json(estimate), indent=2, allow_nan=False)
-        Path(paths["estimate"]).write_text(text + "\n")
+    paths["lambdas"].write_text(_exact_row(lambdas) + "\n")
+    text = json.dumps(_estimate_json(estimate), indent=2, allow_nan=False)
+    paths["estimate"].write_text(text + "\n")
     return {k: str(v) for k, v in paths.items()}

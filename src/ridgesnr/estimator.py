@@ -5,7 +5,7 @@ the normalized cost, pair each cost with the deterministic coefficients
 (xi1, xi2) from :mod:`ridgesnr.rmt`, and invert the resulting n x 2 linear
 system for (sigma_x^2, sigma_n^2) under a nonnegativity constraint, exactly
 (``nnls_2var``). The SNR estimate is their ratio. :class:`EstimatorPlan` runs
-it: it holds the coefficients of one (Psi, M, K, grid), and its ``costs`` and
+it: it holds the coefficients of one (Psi, K, grid), and its ``costs`` and
 ``estimate`` take one observation each. A classical maximum-likelihood
 baseline (residual noise-variance estimate combined with the known signal
 variance) is provided for comparison.
@@ -59,11 +59,15 @@ def _aspect_in_band(m: int, k: int) -> bool:
     return MIN_ASPECT <= k / m <= MAX_ASPECT
 
 
+def _check_aspect(m: int, k: int) -> None:
+    if not _aspect_in_band(m, k):
+        raise DimensionError(f"aspect ratio K/M = {k / m:.4g} outside [{MIN_ASPECT}, {MAX_ASPECT}]")
+
+
 def _check_dims(spectrum: CorrelationSpectrum, m: int, k: int) -> None:
     if spectrum.dim != m:
         raise DimensionError(f"correlation dim {spectrum.dim} != design rows {m}")
-    if not _aspect_in_band(m, k):
-        raise DimensionError(f"aspect ratio K/M = {k / m:.4g} outside [{MIN_ASPECT}, {MAX_ASPECT}]")
+    _check_aspect(m, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,10 +284,10 @@ def nnls_2var(xi, phi) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class EstimatorPlan:
-    """The observation-independent half of the estimator for one (Psi, M, K, grid).
+    """The observation-independent half of the estimator for one (Psi, K, grid).
 
-    The coefficients (xi1, xi2) at each penalty depend only on the spectrum,
-    the dimensions and the penalty, so they are computed once here, in one
+    The coefficients (xi1, xi2) at each penalty depend only on the spectrum (of
+    dimension M), K and the penalty, so they are computed once here, in one
     fixed-point solve for the whole grid; every observation drawn with this
     spectrum and these dimensions then costs only its ridge solves and the
     2-variable NNLS. ``lambdas`` is stored as the validated grid; it, ``xi`` and
@@ -291,16 +295,15 @@ class EstimatorPlan:
     """
 
     spectrum: CorrelationSpectrum
-    m: int
     k: int
     lambdas: np.ndarray
     xi: np.ndarray = field(init=False)
     fixed_point_iters: tuple = field(init=False)
 
     def __post_init__(self):
-        _check_dims(self.spectrum, self.m, self.k)
+        _check_aspect(self.spectrum.dim, self.k)
         grid = _validated_grid(self.lambdas)
-        xi, steps = coefficients_grid(self.spectrum, self.m, self.k, grid)
+        xi, steps = coefficients_grid(self.spectrum, self.k, grid)
         grid.flags.writeable = xi.flags.writeable = False
         object.__setattr__(self, "lambdas", grid)
         object.__setattr__(self, "xi", xi)
@@ -310,8 +313,8 @@ class EstimatorPlan:
         """Realized normalized ridge cost of ``model`` at each penalty of the plan."""
         if model.spectrum is not self.spectrum:
             raise DimensionError("model was not drawn with the plan's correlation spectrum")
-        if (model.m, model.k) != (self.m, self.k):
-            raise DimensionError(f"model is {model.m}x{model.k}, plan is {self.m}x{self.k}")
+        if model.k != self.k:  # the spectrum fixes M
+            raise DimensionError(f"model is {model.m}x{model.k}, plan is {model.m}x{self.k}")
         return np.array([ridge_solve(model, lam)[1] for lam in self.lambdas])
 
     def estimate(self, model: LinearModel) -> SnrEstimate:
@@ -328,10 +331,10 @@ def estimate_snr(model: LinearModel, lambdas) -> SnrEstimate:
     Degenerate outcomes (a zero variance estimate from the nonnegativity
     constraint) are flagged on the returned estimate, never raised, so large
     Monte-Carlo sweeps are not interrupted by rare clamped trials. To estimate
-    many observations of one (Psi, M, K, grid), build an :class:`EstimatorPlan`
+    many observations of one (Psi, K, grid), build an :class:`EstimatorPlan`
     once and call its ``estimate``.
     """
-    return EstimatorPlan(model.spectrum, model.m, model.k, lambdas).estimate(model)
+    return EstimatorPlan(model.spectrum, model.k, lambdas).estimate(model)
 
 
 def ml_baseline(model: LinearModel, true_sigma_x2: float) -> SnrEstimate:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import dataio
 from .estimator import (MAX_ASPECT, MIN_ASPECT, REPORTED, EstimatorPlan, LinearModel, SnrEstimate,
-                        _aspect_in_band, _check_dims, estimate_snr, ml_baseline, ridge_costs)
+                        _aspect_in_band, _check_aspect, estimate_snr, ml_baseline, ridge_costs)
 from .exceptions import RidgeSnrError
 from .rmt import CorrelationSpectrum, alpha, coefficients_grid
 from .scenarios import (
@@ -211,10 +211,10 @@ def _aggregate(snr_true_db: float, method: str, m: int, k: int,
     )
 
 
-def _draw_trial(spectrum, signal, noise, m: int, k: int, master_seed: int, key) -> LinearModel:
-    """One trial's model: (x0, n), then Wbar, from the stream for key."""
+def _draw_trial(spectrum, signal, noise, k: int, master_seed: int, key) -> LinearModel:
+    """One trial's model: (x0, n), then Wbar, from the stream for key; M is ``spectrum.dim``."""
     rng = derive_rng(master_seed, *key)
-    return synthesize(spectrum, *sample_truth(signal, noise, m, k, rng), rng)
+    return synthesize(spectrum, *sample_truth(signal, noise, spectrum.dim, k, rng), rng)
 
 
 def _attempt(failed: str, call, *args):
@@ -231,15 +231,14 @@ def _run_trial(block, specs, snr_db: float, master_seed: int, key_prefix: tuple[
                trial: int) -> list[SnrEstimate | None]:
     """Run one trial; returns its [proposed, ml] SnrEstimate pair.
 
-    ``block`` is (spectrum, m, k, plan) and ``specs`` the (signal, noise) pair at
+    ``block`` is (spectrum, k, plan) and ``specs`` the (signal, noise) pair at
     ``snr_db``. A method that fails leaves None in its entry and the other's
     estimate intact; a failed draw fails both, and a plan of None (its build
     failed) fails proposed.
     """
-    spectrum, m, k, plan = block
+    spectrum, k, plan = block
     failed = f"trial {trial} at {snr_db:.1f} dB failed"
-    model = _attempt(failed, _draw_trial, spectrum, *specs, m, k, master_seed,
-                     (*key_prefix, trial))
+    model = _attempt(failed, _draw_trial, spectrum, *specs, k, master_seed, (*key_prefix, trial))
     if model is None:
         return [None, None]
     return [None if plan is None else _attempt(failed + " in estimate", plan.estimate, model),
@@ -276,8 +275,8 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     for m, k, grid, label, key_prefix in blocks:
         spectrum = _correlation_for(definition, m, config.master_seed)
         plan = _attempt(f"estimator plan for {m}x{k} failed; proposed fails on every trial",
-                        EstimatorPlan, spectrum, m, k, grid)
-        built.append(((spectrum, m, k, plan), label, key_prefix))
+                        EstimatorPlan, spectrum, k, grid)
+        built.append(((spectrum, k, plan), m, k, label, key_prefix))
     rows: list[MetricsRow] = []
     trial_rows: list[tuple] = []
     trials = config.trials
@@ -285,10 +284,10 @@ def _sweep(config: RunConfig, definition: ScenarioDefinition, blocks) -> list[Me
     pooled = workers > 1 and trials >= 2 * workers
     with ProcessPoolExecutor(workers) if pooled else nullcontext() as pool:
         run = partial(pool.map, chunksize=math.ceil(trials / (4 * workers))) if pooled else map
-        for (spectrum, m, k, plan), label, key_prefix in built:
+        for block, m, k, label, key_prefix in built:
             for point_idx, (snr_db, point_specs) in enumerate(zip(points, specs)):
-                task = partial(_run_trial, (spectrum, m, k, plan), point_specs, snr_db,
-                               config.master_seed, (*key_prefix, point_idx))
+                task = partial(_run_trial, block, point_specs, snr_db, config.master_seed,
+                               (*key_prefix, point_idx))
                 pairs = list(run(task, range(trials)))
                 for method, estimates in zip(("proposed", "ml"), zip(*pairs)):
                     rows.append(_aggregate(snr_db, method, m, k, estimates, label))
@@ -346,7 +345,7 @@ def _first_trial(config: RunConfig) -> tuple[LinearModel, tuple[float, ...]]:
     m, k = definition.dims
     specs = [definition.specs_at(snr_db) for snr_db in definition.snr_points_db]  # checks all
     spectrum = _correlation_for(definition, m, config.master_seed)
-    model = _draw_trial(spectrum, *specs[0], m, k, config.master_seed, (STREAM_TRIALS, 0, 0))
+    model = _draw_trial(spectrum, *specs[0], k, config.master_seed, (STREAM_TRIALS, 0, 0))
     return model, definition.lambda_grid
 
 
@@ -386,8 +385,8 @@ def verify_theorem(config: RunConfig) -> list[tuple[float, float, float, float]]
     grid = definition.lambda_grid
     spectrum = _correlation_for(definition, m, config.master_seed)
     signal, noise = definition.specs_at(definition.snr_points_db[0])
-    _check_dims(spectrum, m, k)
-    xi, _ = coefficients_grid(spectrum, m, k, grid)  # a grid it rejects draws nothing
+    _check_aspect(m, k)
+    xi, _ = coefficients_grid(spectrum, k, grid)  # a grid it rejects draws nothing
     wbar = derive_rng(config.master_seed, STREAM_FIXED_DESIGN).standard_normal((m, k))
     design = spectrum.sqrt_apply(wbar)
 

@@ -176,10 +176,10 @@ def _positive_finite(values, name: str) -> np.ndarray:
     return values
 
 
-def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
+def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts) -> tuple[np.ndarray, np.ndarray]:
     """Solve delta = F(delta) = (1/K) sum_i q_i / (1 + c q_i), c = t / (1 + t delta),
-    at every t of the 1-D grid ``ts`` together.
+    at every t of the 1-D grid ``ts`` together, to the tolerance tol = ``DEFAULT_TOL``
+    within a budget of ``DEFAULT_MAX_ITER`` steps, both read at each call.
 
     Picard iteration starts from the upper bound tr(Q)/K; F is increasing and
     concave, so the iterates decrease to the unique positive root, and each t
@@ -202,8 +202,8 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     g' = 1 - sum_i (c q_i u_i)^2 / K, u_i = 1 / (1 + c q_i), rounds to 0 once every
     c q_i exceeds 2^53; a t whose slope is not positive stops without a step.
 
-    ``max_iter`` (at least 1) bounds the steps of both phases of each t
-    together; ConvergenceError names the first t of the grid that uses it up.
+    ``DEFAULT_MAX_ITER`` bounds the steps of both phases of each t together;
+    ConvergenceError names the first t of the grid that uses it up.
     Returns arrays (delta, steps taken) over ``ts`` with, at every t, delta > 0
     and |F(delta) - delta| <= tol * max(delta, 1); otherwise (a flat slope, or a
     Newton step that rounding carried past the root) ConvergenceError names the
@@ -214,8 +214,7 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     ts = _positive_finite(ts, "t")
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER
     q = spectrum.eigenvalues
     deltas, steps = np.full(ts.size, float(q.sum()) / K), np.zeros(ts.size, dtype=int)
     newton = np.zeros(ts.size, dtype=bool)  # the t Picard hands on, until Newton stops them
@@ -270,17 +269,15 @@ def solve_delta_grid(spectrum: CorrelationSpectrum, K: int, ts, tol: float = DEF
     return deltas, steps
 
 
-def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,
+def coefficients_grid(spectrum: CorrelationSpectrum, K: int,
                       lambdas) -> tuple[np.ndarray, np.ndarray]:
-    """Xi, the (penalties, 2) array of coefficients (xi1, xi2) of the predicted cost
-    at every penalty of ``lambdas``, and the fixed-point steps each penalty took.
+    """Xi, the (penalties, 2) array of coefficients (xi1, xi2) of the predicted cost, M being
+    ``spectrum.dim``, at every penalty of ``lambdas``, and the fixed-point steps each took.
 
     A penalty so small that a product the coefficients need overflows is
     rejected: t = K / lambda (a subnormal lambda), t delta at the fixed point's
     starting iterate delta = tr(Psi) / K, or t tr and K (1 + t delta) in xi2."""
     lams = _positive_finite(lambdas, "lambda")
-    if spectrum.dim != M:
-        raise DimensionError(f"spectrum dim {spectrum.dim} != M = {M}")
     with np.errstate(over="ignore"):
         t = K / lams
         start = t * (float(spectrum.eigenvalues.sum()) / K)
@@ -294,7 +291,7 @@ def coefficients_grid(spectrum: CorrelationSpectrum, M: int, K: int,
         t_tr, k_denom = t * tr, K * denom
     _reject_overflow(lams, np.isfinite(t_tr) & np.isfinite(k_denom),
                      "t tr or K (1 + t delta) overflows in xi2")
-    return np.stack([tr / denom, M / K - t_tr / k_denom], axis=1), steps
+    return np.stack([tr / denom, spectrum.dim / K - t_tr / k_denom], axis=1), steps
 
 
 def _reject_overflow(lams: np.ndarray, finite: np.ndarray, what: str) -> None:

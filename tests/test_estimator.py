@@ -323,7 +323,7 @@ class TestRidgeCosts:
 
 
 def plan_for(model: LinearModel, lambdas) -> EstimatorPlan:
-    return EstimatorPlan(model.spectrum, model.m, model.k, lambdas)
+    return EstimatorPlan(model.spectrum, model.k, lambdas)
 
 
 class TestAssembleSystem:
@@ -366,7 +366,7 @@ class TestEstimatorPlan:
         sig = DistributionSpec.gaussian(1.0)
         noi = DistributionSpec.gaussian(0.1)
         grid = [1e-2, 2e-2, 3e-2]
-        plan = EstimatorPlan(spec, 40, 20, grid)
+        plan = EstimatorPlan(spec, 20, grid)
         for trial in range(5):
             rng = derive_rng(41, trial)
             model = synthesize(spec, *sample_truth(sig, noi, 40, 20, rng), rng)
@@ -376,7 +376,7 @@ class TestEstimatorPlan:
 
     def test_rejects_model_of_another_spectrum_or_shape(self):
         model = random_model(11)
-        plan = EstimatorPlan(model.spectrum, model.m, model.k, [0.5, 1.0])
+        plan = EstimatorPlan(model.spectrum, model.k, [0.5, 1.0])
         twin = CorrelationSpectrum.from_diagonal(model.spectrum.eigenvalues.copy())
         other = LinearModel(design=model.design, raw_design=model.raw_design,
                             spectrum=twin, y=model.y)
@@ -392,7 +392,7 @@ class TestEstimatorPlan:
     def test_shared_arrays_are_read_only(self):
         model = random_model(12)
         grid = np.array([0.5, 1.0])
-        plan = EstimatorPlan(model.spectrum, model.m, model.k, grid)
+        plan = EstimatorPlan(model.spectrum, model.k, grid)
         assert plan.lambdas is not grid and grid.flags.writeable
         with pytest.raises(ValueError):
             plan.xi[0, 0] = 0.0
@@ -428,7 +428,7 @@ class TestSolveSystem:
             np.linalg.norm(plan.costs(model) - plan.xi @ sigma))
         assert estimate.fixed_point_iters is plan.fixed_point_iters
         assert plan.fixed_point_iters == tuple(
-            int(coefficients_grid(model.spectrum, 40, 20, [lam])[1][0]) for lam in plan.lambdas)
+            int(coefficients_grid(model.spectrum, 20, [lam])[1][0]) for lam in plan.lambdas)
 
 
 class TestSnrEstimate:

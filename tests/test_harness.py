@@ -286,9 +286,9 @@ class TestTrialInvariantWork:
         calls = []
         original = estimator.coefficients_grid
 
-        def counting(spectrum, m, k, lambdas, *args, **kwargs):
-            calls.append((m, k, tuple(lambdas)))
-            return original(spectrum, m, k, lambdas, *args, **kwargs)
+        def counting(spectrum, k, lambdas):
+            calls.append((spectrum.dim, k, tuple(lambdas)))
+            return original(spectrum, k, lambdas)
 
         monkeypatch.setattr(estimator, "coefficients_grid", counting)
         return calls
@@ -409,7 +409,7 @@ class TestVerifyTheorem:
         coef = u.T @ ys
         costs = ((grid[:, None] / (s ** 2 + grid[:, None])) @ coef ** 2
                  + np.sum((ys - u @ coef) ** 2, axis=0)) / k
-        xi, _ = coefficients_grid(spectrum, m, k, grid)
+        xi, _ = coefficients_grid(spectrum, k, grid)
         assert [row[0] for row in rows] == grid.tolist()
         assert [row[2] for row in rows] == alpha(xi, signal.implied_variance,
                                                  noise.implied_variance).tolist()
@@ -452,10 +452,10 @@ def test_proposed_ties_the_ls_moment_yardstick(name):
     definition = scenario_catalog(name, seed=0)
     m, k = definition.dims
     spectrum = _correlation_for(definition, m, 0)
-    plan = estimator.EstimatorPlan(spectrum, m, k, definition.lambda_grid)
+    plan = estimator.EstimatorPlan(spectrum, k, definition.lambda_grid)
     for point, snr_db in enumerate((-4.0, 12.0)):
         specs = definition.specs_at(snr_db)
-        models = [_draw_trial(spectrum, *specs, m, k, 0, (STREAM_TRIALS, point, trial))
+        models = [_draw_trial(spectrum, *specs, k, 0, (STREAM_TRIALS, point, trial))
                   for trial in range(400)]
         proposed = _aggregate(snr_db, "proposed", m, k, [plan.estimate(mo) for mo in models])
         pair = _aggregate(snr_db, "ls", m, k, estimates(*map(ls_moment, models)))
@@ -471,12 +471,12 @@ def test_a_doubled_psi_moves_the_estimate_on_a_wide_grid():
     m, k = definition.dims
     spectrum = _correlation_for(definition, m, 0)
     doubled = CorrelationSpectrum(2.0 * spectrum.eigenvalues, spectrum.basis)
-    true_plan, wrong_plan = (estimator.EstimatorPlan(psi, m, k, definition.lambda_grid)
+    true_plan, wrong_plan = (estimator.EstimatorPlan(psi, k, definition.lambda_grid)
                              for psi in (spectrum, doubled))
     point = definition.snr_points_db.index(12.0)
     true_db, wrong_db = [], []
     for trial in range(300):
-        model = _draw_trial(spectrum, *definition.specs_at(12.0), m, k, 0,
+        model = _draw_trial(spectrum, *definition.specs_at(12.0), k, 0,
                             (STREAM_TRIALS, point, trial))
         true_db.append(true_plan.estimate(model).snr_db)
         # the true design and y, so the costs are the same; only Xi sees 2 Psi

@@ -8,8 +8,6 @@ fits tie; on an 8-point grid spanning five decades they part, and the relative f
 the near-square and small systems. Run this file as a script to print the table.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -25,9 +23,10 @@ WIDE_CELLS = [(name, dims, WIDE_GRID, snr_db)
               for name, dims in (("g", (20, 10)), ("h", (31, 30))) for snr_db in (12.0, 20.0)]
 
 
-def fit_both(name, dims, grid, snr_db, seed=SEED, trials=TRIALS):
-    """{fit: (degenerate trials, median |dB error| of the rest, relative biases of
-    (sigma_x2, sigma_n2) over the rest)} for the plain and the relative fit of one cell.
+def cell_draws(name, dims, grid, snr_db, seed=SEED, trials=TRIALS):
+    """(spectrum, k, grid, true (sigma_x2, sigma_n2), models) of one cell: the ``trials``
+    models a run of catalog entry ``name`` at master seed ``seed`` draws at ``snr_db``, on
+    ``grid`` (None: the entry's own).
 
     A cell with ``dims`` draws as the dimension sweep's block of those dims would, else as
     the scenario sweep does; either way as the first SNR point of the run."""
@@ -38,14 +37,22 @@ def fit_both(name, dims, grid, snr_db, seed=SEED, trials=TRIALS):
     else:
         m, k = dims
         key = (STREAM_DIM_SWEEP, definition.dims_list.index(dims), 0)
-    definition = replace(definition, lambda_grid=grid or definition.lambda_grid)
     spectrum = _correlation_for(definition, m, seed)
-    plan = EstimatorPlan(spectrum, m, k, definition.lambda_grid)
     specs = definition.specs_at(snr_db)
     truth = np.array([spec.implied_variance for spec in specs])
+    models = [_draw_trial(spectrum, *specs, k, seed, (*key, trial)) for trial in range(trials)]
+    return spectrum, k, grid or definition.lambda_grid, truth, models
+
+
+def fit_both(name, dims, grid, snr_db, seed=SEED, trials=TRIALS):
+    """{fit: (degenerate trials, median |dB error| of the rest, relative biases of
+    (sigma_x2, sigma_n2) over the rest)} for the plain and the relative fit of one cell
+    (:func:`cell_draws`)."""
+    spectrum, k, grid, truth, models = cell_draws(name, dims, grid, snr_db, seed, trials)
+    plan = EstimatorPlan(spectrum, k, grid)
     sigmas = {"plain": [], "relative": []}
-    for trial in range(trials):
-        phi = plan.costs(_draw_trial(spectrum, *specs, m, k, seed, (*key, trial)))
+    for model in models:
+        phi = plan.costs(model)
         sigmas["plain"].append(nnls_2var(plan.xi, phi)[0])
         sigmas["relative"].append(nnls_2var(plan.xi / phi[:, None], np.ones_like(phi))[0])
     summary = {}

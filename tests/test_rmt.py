@@ -18,6 +18,7 @@ from ridgesnr import (
     solve_delta_grid,
     sym_eig,
 )
+from ridgesnr import rmt
 from ridgesnr.harness import _correlation_for
 from ridgesnr.rmt import PICARD_STEPS
 from ridgesnr.scenarios import SCENARIO_NAMES
@@ -162,7 +163,7 @@ class TestSolveDelta:
         for _ in range(100):
             spec, k = random_spectrum(rng)
             t = float(10.0 ** rng.uniform(-3, 3))
-            (delta,), _ = solve_delta_grid(spec, k, [t], tol=1e-12)
+            (delta,), _ = solve_delta_grid(spec, k, [t])
             oracle = bisection_delta(spec.eigenvalues, k, t)
             assert delta == pytest.approx(oracle, abs=1e-11 * max(1.0, oracle))
 
@@ -171,7 +172,7 @@ class TestSolveDelta:
         for _ in range(20):
             spec, k = random_spectrum(rng)
             t = float(10.0 ** rng.uniform(-3, 3))
-            (delta,), _ = solve_delta_grid(spec, k, [t], tol=1e-12)
+            (delta,), _ = solve_delta_grid(spec, k, [t])
             resid = abs(delta - fixed_point_map(spec.eigenvalues, k, t, delta))
             assert resid <= 1e-12 * max(delta, 1.0)
 
@@ -190,10 +191,11 @@ class TestSolveDelta:
             (delta,), _ = solve_delta_grid(spec, k, [float(10.0 ** rng.uniform(-3, 3))])
             assert delta > 0
 
-    def test_iteration_cap_raises_with_last_iterate(self):
+    def test_iteration_cap_raises_with_last_iterate(self, monkeypatch):
         spec = CorrelationSpectrum.from_diagonal(np.ones(40))
+        monkeypatch.setattr(rmt, "DEFAULT_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            solve_delta_grid(spec, 40, [1.0], tol=1e-12, max_iter=2)
+            solve_delta_grid(spec, 40, [1.0])
         assert err.value.last_iterate is not None
         assert err.value.residual is not None
 
@@ -237,25 +239,28 @@ class TestSquareSystems:
             assert iters <= PICARD_STEPS + 30
             assert delta == pytest.approx(mpmath_delta(spec.eigenvalues, k, k / lam), rel=1e-12)
 
-    def test_newton_phase_keeps_the_residual_contract(self):
+    def test_newton_phase_keeps_the_residual_contract(self, monkeypatch):
         spec = exponential_spectrum(60)
         t = 60 / 1e-6
         for tol in (1e-12, 1e-9, 1e-6):
-            (delta,), (iters,) = solve_delta_grid(spec, 60, [t], tol=tol)
+            monkeypatch.setattr(rmt, "DEFAULT_TOL", tol)
+            (delta,), (iters,) = solve_delta_grid(spec, 60, [t])
             # Picard cannot finish this t in PICARD_STEPS steps; it leaves early
             assert plain_picard(spec.eigenvalues, 60, t, tol) is None
             assert iters < PICARD_STEPS
             resid = abs(delta - fixed_point_map(spec.eigenvalues, 60, t, delta))
             assert resid <= tol * max(delta, 1.0)
 
-    def test_max_iter_bounds_both_phases(self):
+    def test_max_iter_bounds_both_phases(self, monkeypatch):
         spec = CorrelationSpectrum.from_diagonal(np.ones(30))
         t = 30 / 1e-6
         (delta,), (iters,) = solve_delta_grid(spec, 30, [t])
         assert iters < PICARD_STEPS
-        assert solve_delta_grid(spec, 30, [t], max_iter=iters)[0][0] == delta
+        monkeypatch.setattr(rmt, "DEFAULT_MAX_ITER", iters)
+        assert solve_delta_grid(spec, 30, [t])[0][0] == delta
+        monkeypatch.setattr(rmt, "DEFAULT_MAX_ITER", iters - 1)
         with pytest.raises(ConvergenceError) as err:
-            solve_delta_grid(spec, 30, [t], max_iter=iters - 1)
+            solve_delta_grid(spec, 30, [t])
         # the budget runs out in the Newton phase: above the root, and below the
         # iterate that Picard alone reaches in as many steps
         picard_iterate = 1.0  # tr(Psi) / K
@@ -421,7 +426,9 @@ class TestGridSolver:
         # PICARD_STEPS steps; every t it can finish keeps its iterate and step
         q, k = grid_problem(m, shape, zeros, seed)
         ts = k / 10.0 ** np.array(exponents)
-        deltas, steps = solve_delta_grid(CorrelationSpectrum.from_diagonal(q), k, ts, tol=tol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rmt, "DEFAULT_TOL", tol)
+            deltas, steps = solve_delta_grid(CorrelationSpectrum.from_diagonal(q), k, ts)
         for t, delta, n in zip(ts, deltas.tolist(), steps.tolist()):
             picard = plain_picard(q, k, t, tol)
             if picard is not None:
@@ -444,11 +451,13 @@ class TestGridSolver:
                 per_penalty_delta(q, k, t, max_iter=max_iter)
             except ConvergenceError as err:
                 failed.append((t, err))
-        if not failed:
-            solve_delta_grid(spec, k, ts, max_iter=max_iter)
-            return
-        with pytest.raises(ConvergenceError) as err:
-            solve_delta_grid(spec, k, ts, max_iter=max_iter)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rmt, "DEFAULT_MAX_ITER", max_iter)
+            if not failed:
+                solve_delta_grid(spec, k, ts)
+                return
+            with pytest.raises(ConvergenceError) as err:
+                solve_delta_grid(spec, k, ts)
         t, expected = failed[0]
         assert (err.value.last_iterate, err.value.residual) == \
             (expected.last_iterate, expected.residual)
@@ -513,7 +522,7 @@ class TestCoefficients:
     def test_identity_spectrum_values(self):
         k = 40
         spec = CorrelationSpectrum.from_diagonal(np.ones(k))
-        (xi1, xi2), = coefficients_grid(spec, k, k, [float(k)])[0]  # t = 1
+        (xi1, xi2), = coefficients_grid(spec, k, [float(k)])[0]  # t = 1
         assert xi1 == pytest.approx(k * 0.381966, abs=k * 1e-6)
         assert xi2 == pytest.approx(0.618034, abs=1e-6)
 
@@ -521,7 +530,7 @@ class TestCoefficients:
         rng = np.random.default_rng(8)
         q = rng.uniform(0.0, 1.0, 90)
         spec = CorrelationSpectrum.from_diagonal(q)
-        (xi1, xi2), = coefficients_grid(spec, 90, 30, [1e12])[0]
+        (xi1, xi2), = coefficients_grid(spec, 30, [1e12])[0]
         assert xi1 == pytest.approx(q.sum(), rel=1e-9)
         assert xi2 == pytest.approx(3.0, rel=1e-9)
 
@@ -530,28 +539,28 @@ class TestCoefficients:
         for _ in range(50):
             spec, k = random_spectrum(rng)
             lam = float(10.0 ** rng.uniform(-3, 3))
-            (_, xi2), = coefficients_grid(spec, spec.dim, k, [lam])[0]
+            (_, xi2), = coefficients_grid(spec, k, [lam])[0]
             assert 0.0 < xi2 <= spec.dim / k + 1e-12
 
     def test_records_fixed_point_iterations(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(40))
-        _, (iters,) = coefficients_grid(spec, 40, 40, [40.0])
+        _, (iters,) = coefficients_grid(spec, 40, [40.0])
         assert iters >= 1
 
     def test_rejects_nonpositive_lambda(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(4))
         with pytest.raises(ValueError):
-            coefficients_grid(spec, 4, 4, [0.0])
+            coefficients_grid(spec, 4, [0.0])
         for lam in (math.nan, math.inf):
             with pytest.raises(ValueError, match="lambda must be positive and finite"):
-                coefficients_grid(spec, 4, 4, [1.0, lam])
+                coefficients_grid(spec, 4, [1.0, lam])
 
     def test_rejects_a_penalty_whose_t_overflows(self):
         # 5e-324 is positive and finite, but K / 5e-324 is inf; the error names
         # the penalty, not the t the caller never gave, and raises no warning
         spec = CorrelationSpectrum.from_diagonal(np.ones(4))
         with pytest.raises(ValueError, match="lambda 5e-324 is too small"):
-            coefficients_grid(spec, 4, 4, [5e-324, 1e-3])
+            coefficients_grid(spec, 4, [5e-324, 1e-3])
 
     # t = K / lambda is finite, but t tr(Psi) / K, the fixed point's first t delta,
     # overflows (square, 4e-307), or t tr and K (1 + t delta) do at the root
@@ -561,37 +570,36 @@ class TestCoefficients:
     def test_rejects_a_penalty_whose_fixed_point_overflows(self, q, k, lam):
         spec = CorrelationSpectrum.from_diagonal(q)
         with pytest.raises(ValueError, match=f"lambda {lam} is too small"):
-            coefficients_grid(spec, len(q), k, [lam, 1e-3])
+            coefficients_grid(spec, k, [lam, 1e-3])
 
     @pytest.mark.parametrize("lam", [2e-306, 1e-300])
     def test_keeps_tiny_penalties_that_do_not_overflow(self, lam):
-        xi, _ = coefficients_grid(CorrelationSpectrum.from_diagonal([100.0, 100.0]), 2, 2,
-                                  [lam, 1e-3])
+        xi, _ = coefficients_grid(CorrelationSpectrum.from_diagonal([100.0, 100.0]), 2, [lam, 1e-3])
         assert np.isfinite(xi).all()
 
 
 class TestAlpha:
     def test_zero_variances(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(8))
-        xi, _ = coefficients_grid(spec, 8, 8, [1.0])
+        xi, _ = coefficients_grid(spec, 8, [1.0])
         assert alpha(xi, 0.0, 0.0).tolist() == [0.0]
 
     def test_large_lambda_limit_value(self):
         rng = np.random.default_rng(10)
         q = rng.uniform(0.0, 1.0, 60)
         spec = CorrelationSpectrum.from_diagonal(q)
-        xi, _ = coefficients_grid(spec, 60, 20, [1e12])
+        xi, _ = coefficients_grid(spec, 20, [1e12])
         assert alpha(xi, 2.0, 3.0)[0] == pytest.approx(q.sum() * 2.0 + 3.0 * 3.0, rel=1e-9)
 
     def test_linear_in_variances(self):
         spec = CorrelationSpectrum.from_diagonal(np.linspace(0.1, 1.0, 24))
-        xi, _ = coefficients_grid(spec, 24, 12, [0.37])
+        xi, _ = coefficients_grid(spec, 12, [0.37])
         (base,) = alpha(xi, 1.3, 0.7)
         assert alpha(xi, 2 * 1.3, 2 * 0.7)[0] == pytest.approx(2 * base, rel=1e-15)
 
     def test_rejects_negative_variance(self):
         spec = CorrelationSpectrum.from_diagonal(np.ones(4))
-        xi, _ = coefficients_grid(spec, 4, 4, [1.0])
+        xi, _ = coefficients_grid(spec, 4, [1.0])
         with pytest.raises(ValueError):
             alpha(xi, -1.0, 0.0)
 
@@ -599,7 +607,7 @@ class TestAlpha:
         rng = np.random.default_rng(15)
         for _ in range(50):
             spec, k = random_spectrum(rng)
-            xi, _ = coefficients_grid(spec, spec.dim, k, 10.0 ** rng.uniform(-7, 3, 6))
+            xi, _ = coefficients_grid(spec, k, 10.0 ** rng.uniform(-7, 3, 6))
             sx, sn = (float(v) for v in rng.uniform(0.0, 5.0, 2))
             assert alpha(xi, sx, sn).tolist() == [xi1 * sx + xi2 * sn for xi1, xi2 in xi.tolist()]
 
@@ -705,15 +713,10 @@ class TestSymEig:
      "correlation matrix has no positive eigenvalue"),
     (lambda: solve_delta_grid(CorrelationSpectrum.from_diagonal(np.ones(3)), 0, [1.0]),
      ValueError, "K must be at least 1, got 0"),
-    (lambda: solve_delta_grid(CorrelationSpectrum.from_diagonal(np.ones(3)), 3, [1.0],
-                              max_iter=0), ValueError, "max_iter must be at least 1, got 0"),
-    (lambda: coefficients_grid(CorrelationSpectrum.from_diagonal(np.ones(4)), 5, 2, [1.0]),
-     DimensionError, "spectrum dim 4 != M = 5"),
     (lambda: sym_eig(np.ones(3)), DimensionError, "A must be two-dimensional"),
     (lambda: sym_eig([[1.0, np.nan], [np.nan, 1.0]]), DimensionError,
      "A contains non-finite entries"),
-], ids=["empty", "non-finite", "basis shape", "zero matrix", "K", "max_iter", "M", "ndim",
-        "non-finite matrix"])
+], ids=["empty", "non-finite", "basis shape", "zero matrix", "K", "ndim", "non-finite matrix"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
