@@ -181,14 +181,12 @@ def _resolve_run_config(args: argparse.Namespace) -> harness.RunConfig:
 
 def _print_estimate(estimate, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(dataio._estimate_json(estimate, "fit_residual_norm", "fixed_point_iters"),
-                         allow_nan=False))
+        print(dataio._estimate_json(estimate))
         return
-    for name in estimator.REPORTED:
+    for name in dataio.ESTIMATE_FIELDS:
         value = getattr(estimate, name)
-        print(f"{name:<17} = {value if isinstance(value, bool) else format(value, '.10g')}")
-    print(f"fit residual norm = {estimate.fit_residual_norm:.4g}")
-    print(f"fixed-point iters = {list(estimate.fixed_point_iters)}")
+        shown = format(value, ".10g") if isinstance(value, float) else value
+        print(f"{name:<17} = {list(shown) if isinstance(shown, tuple) else shown}")
 
 
 def _dump_first_trial(config: harness.RunConfig, directory: str) -> None:

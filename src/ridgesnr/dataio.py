@@ -135,8 +135,7 @@ def write_vector(path: str | Path, vector: np.ndarray) -> None:
 def write_correlation(path: str | Path, spectrum: CorrelationSpectrum) -> None:
     """Diagonal spectra use the ``diag:`` shorthand; others are written dense."""
     if spectrum.diagonal:
-        payload = "diag:" + _exact_row(spectrum.eigenvalues)
-        Path(path).write_text(payload + "\n")
+        Path(path).write_text("diag:" + _exact_row(spectrum.eigenvalues) + "\n")
     else:
         write_matrix(path, spectrum.matrix())
 
@@ -156,13 +155,16 @@ def load_model(y_path: str | Path, wbar_path: str | Path,
     return LinearModel(design=design, raw_design=wbar, spectrum=spectrum, y=y)
 
 
-def _estimate_json(estimate: SnrEstimate, *extra: str) -> dict:
-    """The fields of an estimate in ``estimate.json``, then the ``extra`` ones; a nan or inf is
-    null, as strict JSON has neither (``degenerate`` says why)."""
-    names = (*REPORTED, *extra)
-    values = (getattr(estimate, name) for name in names)
-    return {name: None if isinstance(v, float) and not np.isfinite(v) else v
-            for name, v in zip(names, values)}
+# What `estimate` and a dump's estimate.json write: REPORTED, then the proposed method's diagnostics
+ESTIMATE_FIELDS = (*REPORTED, "fit_residual_norm", "fixed_point_iters")
+
+
+def _estimate_json(estimate: SnrEstimate) -> str:
+    """An estimate's ``ESTIMATE_FIELDS`` as one line of strict JSON; a nan or inf is null, as
+    strict JSON has neither (``degenerate`` says why)."""
+    values = (getattr(estimate, name) for name in ESTIMATE_FIELDS)
+    return json.dumps({name: None if isinstance(v, float) and not np.isfinite(v) else v
+                       for name, v in zip(ESTIMATE_FIELDS, values)}, allow_nan=False)
 
 
 def dump_model(directory: str | Path, model: LinearModel, lambdas, estimate: SnrEstimate) -> dict:
@@ -176,17 +178,11 @@ def dump_model(directory: str | Path, model: LinearModel, lambdas, estimate: Snr
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "y": directory / "y.csv",
-        "wbar": directory / "wbar.csv",
-        "psi": directory / "psi.csv",
-        "lambdas": directory / "lambdas.csv",
-        "estimate": directory / "estimate.json",
-    }
+    paths = {role: directory / f"{role}.csv" for role in ("y", "wbar", "psi", "lambdas")}
+    paths["estimate"] = directory / "estimate.json"
     write_vector(paths["y"], model.y)
     write_matrix(paths["wbar"], model.raw_design)
     write_correlation(paths["psi"], model.spectrum)
     paths["lambdas"].write_text(_exact_row(lambdas) + "\n")
-    text = json.dumps(_estimate_json(estimate), indent=2, allow_nan=False)
-    paths["estimate"].write_text(text + "\n")
+    paths["estimate"].write_text(_estimate_json(estimate) + "\n")
     return {k: str(v) for k, v in paths.items()}

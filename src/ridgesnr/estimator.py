@@ -20,7 +20,6 @@ from functools import cached_property
 from itertools import islice
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .exceptions import DefinitenessError, DimensionError
 from .rmt import CorrelationSpectrum, _as_matrix, _positive_finite, coefficients_grid
@@ -170,6 +169,9 @@ def ridge_solve(model: LinearModel, lam: float) -> tuple[np.ndarray, float]:
     is evaluated directly from the residual so it is nonnegative even when the
     two terms nearly cancel.
     """
+    # imported here, so a run that never solves (--help, a rejected input) never loads scipy.linalg
+    from scipy.linalg.lapack import dposv
+
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     k = model.k

@@ -231,23 +231,29 @@ class TestDataIO:
         paths = dump_model(tmp_path, model, (0.1, 0.2), SnrEstimate(1.0, 0.0))
         assert strict_json(Path(paths["estimate"]).read_text()) == {
             "sigma_x2_hat": 1.0, "sigma_n2_hat": 0.0, "snr_linear": None, "snr_db": None,
-            "degenerate": True}
+            "degenerate": True, "fit_residual_norm": 0.0, "fixed_point_iters": []}
 
 
 class TestCliEstimate:
     def test_roundtrip_matches_dumped_estimate(self, tmp_path, capsys):
-        # scenario a writes psi.csv as a diag: row and reads back bit for bit; b's Bessel Psi
-        # is dense, written in full, and its eigenvalues read back within rounding
+        # scenario a writes psi.csv as a diag: row and reads back bit for bit, so `estimate
+        # --json` prints the dumped estimate.json byte for byte; b's Bessel Psi is dense,
+        # written in full, and its eigenvalues read back within rounding
         for name, rel in (("a", 0.0), ("b", 1e-12)):
             dumped_model = dump_scenario(tmp_path / name, name)
             grid = (dumped_model / "lambdas.csv").read_text().strip()
+            capsys.readouterr()  # drop the dump run's own output
             code = cli.main([
                 "estimate", str(dumped_model / "y.csv"), str(dumped_model / "wbar.csv"),
                 str(dumped_model / "psi.csv"), "--lambdas", grid, "--json",
             ])
             assert code == 0
-            reported = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-            recorded = json.loads((dumped_model / "estimate.json").read_text())
+            out = capsys.readouterr().out
+            text = (dumped_model / "estimate.json").read_text()
+            reported, recorded = json.loads(out), json.loads(text)
+            assert list(reported) == list(recorded) == list(dataio.ESTIMATE_FIELDS)
+            if name == "a":
+                assert out == text
             for field in ("snr_db", "sigma_x2_hat", "sigma_n2_hat"):
                 assert reported[field] == pytest.approx(recorded[field], rel=rel, abs=0.0)
 
@@ -395,16 +401,17 @@ class TestCliEstimate:
         assert cli.main(argv + ["--json"]) == 0
         reported = json.loads(capsys.readouterr().out)
         assert cli.main(argv) == 0
-        lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
-        assert {label.rstrip(): text for label, text in lines.items()} == {
-            "sigma_x2_hat": f"{reported['sigma_x2_hat']:.10g}",
-            "sigma_n2_hat": f"{reported['sigma_n2_hat']:.10g}",
-            "snr_linear": f"{reported['snr_linear']:.10g}",
-            "snr_db": f"{reported['snr_db']:.10g}",
-            "degenerate": str(reported["degenerate"]),
-            "fit residual norm": f"{reported['fit_residual_norm']:.4g}",
-            "fixed-point iters": str(reported["fixed_point_iters"]),
-        }
+        lines = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
+        # one line per JSON field, in the same order
+        assert [(label.rstrip(), text) for label, text in lines] == [
+            ("sigma_x2_hat", f"{reported['sigma_x2_hat']:.10g}"),
+            ("sigma_n2_hat", f"{reported['sigma_n2_hat']:.10g}"),
+            ("snr_linear", f"{reported['snr_linear']:.10g}"),
+            ("snr_db", f"{reported['snr_db']:.10g}"),
+            ("degenerate", str(reported["degenerate"])),
+            ("fit_residual_norm", f"{reported['fit_residual_norm']:.10g}"),
+            ("fixed_point_iters", str(reported["fixed_point_iters"])),
+        ]
 
     def test_negative_lambda_exits_config_error(self, tmp_path, capsys):
         write_vector(tmp_path / "y.csv", np.ones(2))

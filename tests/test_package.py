@@ -44,14 +44,33 @@ def test_demo_runs(demo):
     assert result.returncode == 0, result.stderr
 
 
+def _assert_runs_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports the package from ``src/``."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
 def test_scipy_special_loads_only_for_a_bessel_correlation():
     # it is the package's only use of scipy.special, which every CLI call would load
     code = ("import sys, ridgesnr\n"
             "assert 'scipy.special' not in sys.modules\n"
             "ridgesnr.build_correlation(ridgesnr.CorrelationSpec('bessel', 4))\n"
             "assert 'scipy.special' in sys.modules\n")
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
+    _assert_runs_fresh(code)
+
+
+def test_scipy_linalg_loads_only_for_a_ridge_solve():
+    # ridge_solve's dposv is the package's only use of scipy.linalg; verify-theorem's costs
+    # come from numpy's eigh, and --help or a rejected input never reaches a solve
+    code = ("import sys, numpy as np, ridgesnr.cli\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "ridgesnr.verify_theorem(ridgesnr.RunConfig(scenario='fig1', trials=2))\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "w = np.eye(2)\n"
+            "spectrum = ridgesnr.CorrelationSpectrum.from_diagonal(np.ones(2))\n"
+            "ridgesnr.ridge_solve(ridgesnr.LinearModel(w, w, spectrum, np.ones(2)), 0.1)\n"
+            "assert 'scipy.linalg' in sys.modules\n")
+    _assert_runs_fresh(code)
